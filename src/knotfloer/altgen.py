@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fox import alexander
+from .fox import _inversions, alexander
 from .laurent import LaurentPolynomial
 
 
@@ -64,17 +64,15 @@ class MPR:
         return not self.resolved
 
 
-def _letters(d, c1):
+def _letters(d, c1, arc_of, over):
     """Per-crossing letter options: (tag, column arc, exponent delta, sign)."""
-    arc_of = d.arc_of_edge()
-    dropped = d.over_arc_at(c1)
+    dropped = over[c1]
     rows = []
     for i, x in enumerate(d.crossings):
         if i == c1:
             rows.append(None)
             continue
-        oi, _ = d.over_in_out(i)
-        o, a, b = arc_of[oi], arc_of[x.a], arc_of[x.c]
+        o, a, b = over[i], arc_of[x.a], arc_of[x.c]
         if d.sign(i) > 0:
             opts = [("+", o, 0, 1), ("-", o, 1, -1), ("in", a, 1, 1), ("out", b, 0, -1)]
         else:
@@ -94,7 +92,9 @@ def enumerate_mprs(d, c1):
         raise NotAlternatingError("MPR enumeration needs an alternating diagram")
     if not 0 <= c1 < d.n:
         raise ValueError("invalid distinguished crossing %r" % (c1,))
-    rows, dropped = _letters(d, c1)
+    arc_of = d.arc_of_edge()
+    over = [arc_of[d.over_in_out(i)[0]] for i in range(d.n)]  # arc over each crossing
+    rows, dropped = _letters(d, c1, arc_of, over)
     order = [i for i in range(d.n) if i != c1]
     used = {}
     raw = []  # (assignment tags, columns, exponent, sign)
@@ -118,6 +118,7 @@ def enumerate_mprs(d, c1):
             del used[col]
 
     rec(0, 0, 1)
+    del rec  # rec refers to itself; drop the cycle so raw is freed on return
 
     total = LaurentPolynomial()
     for _, _, e, s in raw:
@@ -130,7 +131,7 @@ def enumerate_mprs(d, c1):
     check = LaurentPolynomial()
     out = []
     for tags_i, cols_i, e, s in raw:
-        ms = _marked_components(d, c1, tags_i, cols_i)
+        ms = _marked_components(d, over, tags_i, cols_i)
         assignment = tuple(tags_i.get(i) for i in range(d.n))
         out.append(
             MPR(
@@ -149,22 +150,13 @@ def enumerate_mprs(d, c1):
     return out
 
 
-def _inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
-
-
-def _marked_components(d, c1, tags, cols):
-    """Cycles of resolved crossings, as frozensets of diagram edges."""
+def _marked_components(d, over, tags, cols):
+    """Cycles of resolved crossings, as frozensets of diagram edges; over[i]
+    is the arc passing over crossing i."""
     resolved = [i for i, t in tags.items() if t in ("in", "out")]
     if not resolved:
         return ()
     row_of_col = {c: i for i, c in cols.items()}
-    arc_of = d.arc_of_edge()
     comps = []
     seen = set()
     for start in resolved:
@@ -175,24 +167,13 @@ def _marked_components(d, c1, tags, cols):
         while cur not in seen:
             seen.add(cur)
             cyc.append(cur)
-            over_arc = d.over_arc_at(cur)
-            cur = row_of_col[over_arc]
+            cur = row_of_col[over[cur]]
         edges = []
         for i in cyc:
             x = d.crossings[i]
             edges.append(x.a if tags[i] == "in" else x.c)
         comps.append(frozenset(edges))
     return tuple(sorted(comps, key=sorted))
-
-
-def mpr_alexander(m, d=None, c1=None):
-    """Alexander monomial (exponent, sign) of one MPR."""
-    return m.alexander_exponent, m.sign
-
-
-def base_generators(d, c1):
-    """The 2^(n-1) all-sign MPRs."""
-    return [m for m in enumerate_mprs(d, c1) if m.is_base()]
 
 
 def pools(d, c1, mprs=None):
@@ -225,13 +206,6 @@ def pools(d, c1, mprs=None):
                 "class size %d != 2^%d over base %s" % (count, len(comps), key)
             )
     return groups
-
-
-def marked_component_pool(y, d, c1):
-    """The component pool C(y) of a base generator MPR y."""
-    groups = pools(d, c1)
-    base, comps, _ = groups[y.base_assignment()]
-    return set(comps)
 
 
 def _component_crossings(d, comp):
@@ -308,10 +282,15 @@ class SmallnessCertificate:
     c1: int
     verdict: bool
     witness: tuple = None  # (MPR, component) when not small
+    ranks: dict = field(default=None, hash=False)  # A -> survivors, when small
 
 
 def certify_small(d):
-    """Try each crossing as c1; certify with the first all-small choice."""
+    """Try each crossing as c1; certify with the first all-small choice.
+
+    A small verdict records its c1's survivor ranks, so the MPRs are
+    enumerated once per c1 tried.
+    """
     if not d.is_alternating():
         raise NotAlternatingError("smallness is defined for alternating diagrams")
     witness = None
@@ -320,7 +299,8 @@ def certify_small(d):
     for c1 in range(d.n):
         last_c1 = c1
         ok = True
-        for m in enumerate_mprs(d, c1):
+        mprs = enumerate_mprs(d, c1)
+        for m in mprs:
             for comp in m.marked_components:
                 if not component_is_small(d, comp, cache):
                     witness = (m, comp)
@@ -329,32 +309,31 @@ def certify_small(d):
             if not ok:
                 break
         if ok:
-            return SmallnessCertificate(c1=c1, verdict=True)
+            ranks = {}
+            for base, comps, _ in pools(d, c1, mprs).values():
+                if not comps:
+                    j = base.alexander_exponent
+                    ranks[j] = ranks.get(j, 0) + 1
+            return SmallnessCertificate(c1=c1, verdict=True, ranks=ranks)
     return SmallnessCertificate(c1=last_c1, verdict=False, witness=witness)
 
 
 def reduced_ranks(d, certificate=None):
     """Alexander-graded ranks of the reduced complex of a small diagram.
 
-    Survivors are base generators with empty pools; the ranks must agree
-    with the unsigned coefficients of the Alexander polynomial.
+    Survivors are base generators with empty pools, counted by
+    certify_small; the ranks must agree with the unsigned coefficients of
+    the Alexander polynomial.
     """
     if certificate is None:
         certificate = certify_small(d)
     if not certificate.verdict:
         raise SmallnessError("diagram is not certified small")
-    c1 = certificate.c1
-    mprs = enumerate_mprs(d, c1)
-    groups = pools(d, c1, mprs)
-    ranks = {}
-    for base, comps, _ in groups.values():
-        if not comps:
-            j = base.alexander_exponent
-            ranks[j] = ranks.get(j, 0) + 1
+    ranks = certificate.ranks
     delta = alexander(d)
     expected = {e: abs(a) for e, a in delta.coeffs().items()}
     if ranks != expected:
         raise ConsistencyError(
             "reduced ranks %s != |Alexander coefficients| %s" % (ranks, expected)
         )
-    return ranks
+    return dict(ranks)

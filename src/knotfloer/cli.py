@@ -136,8 +136,8 @@ def cmd_cfr(args):
     cert = altgen.certify_small(d)
     if not cert.verdict:
         raise CliError("diagram is not certified small; no reduced complex")
-    ranks = altgen.reduced_ranks(d, cert)
-    inp = input_from_alternating(d, args.field)
+    inp = input_from_alternating(d, args.field, cert)
+    ranks = cert.ranks
     _trace(args, "cfr.json", inp.cfr.to_json())
     payload = {
         "ranks": {str(k): v for k, v in sorted(ranks.items())},

@@ -188,11 +188,6 @@ class KnotDiagram:
                 out[e] = idx
         return out
 
-    def over_arc_at(self, i):
-        """Arc index passing over crossing i."""
-        oi, _ = self.over_in_out(i)
-        return self.arc_of_edge()[oi]
-
     # -- faces ---------------------------------------------------------------
 
     def darts(self):

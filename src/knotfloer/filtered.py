@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import rank as _matrix_rank  # floerbench traces this name
+
 
 class FilteredComplexError(ValueError):
     pass
@@ -26,7 +28,6 @@ class FieldQ:
         return Fraction(x)
 
     zero = Fraction(0)
-    one = Fraction(1)
 
 
 class FieldF2:
@@ -41,7 +42,6 @@ class FieldF2:
         return int(x) % 2
 
     zero = 0
-    one = 1
 
 
 FIELDS = {"Q": FieldQ, "F2": FieldF2}
@@ -182,17 +182,17 @@ class FilteredComplex:
         by_gr = {}
         for g in self.generators:
             by_gr.setdefault(g.gr, []).append(g.id)
+        index = {gid: k for ids in by_gr.values() for k, gid in enumerate(ids)}
+        images = {g.id: {} for g in self.generators}
+        for (src, tgt), c in self.differential.items():
+            images[src][index[tgt]] = c
+        d_rank = {
+            gr: _matrix_rank([images[src] for src in ids], self.field)
+            for gr, ids in by_gr.items()
+        }
         ranks = {}
-        d_rank = {}
         for gr, ids in by_gr.items():
-            tgt_ids = by_gr.get(gr - 1, [])
-            mat = [
-                [self.d(src, tgt) for src in ids]
-                for tgt in tgt_ids
-            ]
-            d_rank[gr] = _matrix_rank(mat, self.field)
-        for gr, ids in by_gr.items():
-            r = len(ids) - d_rank.get(gr, 0) - d_rank.get(gr + 1, 0)
+            r = len(ids) - d_rank[gr] - d_rank.get(gr + 1, 0)
             if r:
                 ranks[gr] = r
         return ranks
@@ -293,40 +293,6 @@ class FilteredComplex:
             len(self.differential),
             self.field.name,
         )
-
-
-def _matrix_rank(mat, field):
-    if not mat or not mat[0]:
-        return 0
-    rows = [row[:] for row in mat]
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if field.coerce(rows[r][col]) != field.zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        if field is FieldF2:
-            inv = 1
-        else:
-            inv = 1 / Fraction(pv)
-        for r in range(nr):
-            if r == rank:
-                continue
-            f = field.coerce(rows[r][col] * inv)
-            if f != field.zero:
-                for c2 in range(nc):
-                    rows[r][c2] = field.coerce(rows[r][c2] - f * rows[rank][c2])
-        rank += 1
-        if rank == nr:
-            break
-    return rank
 
 
 def homology_per_bigrading(c):

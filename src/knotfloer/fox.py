@@ -198,6 +198,7 @@ def _sparse_determinant(rows):
             used[i] = False
 
     rec(0, LaurentPolynomial.one(), 1)
+    del rec  # rec refers to itself; drop the cycle before returning
     return total
 
 
@@ -273,6 +274,7 @@ def generator_spectrum(p, term_cap=10**8):
             used[col] = False
 
     rec(0, 0, 1)
+    del rec  # rec refers to itself; drop the cycle so spectrum is freed
     raw = LaurentPolynomial()
     for e, s in spectrum:
         raw = raw + LaurentPolynomial({e: s})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .diagrams import _is_arrival_slot
 from .laurent import LaurentPolynomial
+from .linalg import det
 
 
 class BraidingError(RuntimeError):
@@ -242,43 +243,21 @@ def seifert_matrix(d):
 
 def alexander_via_seifert(d):
     """Normalized Alexander polynomial from det(V - t V^T)."""
-    from fractions import Fraction
-
     V = seifert_matrix(d)
     n = len(V)
     if n == 0:
         return LaurentPolynomial.one()
-    # det(V - t V^T) is a polynomial of degree <= n: evaluate and interpolate
-    pts = [Fraction(k) for k in range(2, n + 3)]
+    # det(V - t V^T) is a polynomial of degree <= n: evaluate at integers
+    # (exactly, by Bareiss) and interpolate
+    pts = range(2, n + 3)
     vals = [
-        _frac_det([[Fraction(V[i][j]) - t0 * V[j][i] for j in range(n)] for i in range(n)])
+        det([[V[i][j] - t0 * V[j][i] for j in range(n)] for i in range(n)])
         for t0 in pts
     ]
     coeffs = _lagrange_int_coeffs(pts, vals, n)
-    det = LaurentPolynomial({k: c for k, c in enumerate(coeffs) if c})
-    q, _, _ = det.normalize_alexander()
+    poly = LaurentPolynomial({k: c for k, c in enumerate(coeffs) if c})
+    q, _, _ = poly.normalize_alexander()
     return q
-
-
-def _frac_det(m):
-    n = len(m)
-    a = [row[:] for row in m]
-    from fractions import Fraction
-
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((j for j in range(i, n) if a[j][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        for j in range(i + 1, n):
-            f = a[j][i] / a[i][i]
-            for k in range(i, n):
-                a[j][k] -= f * a[i][k]
-    return det
 
 
 def _lagrange_int_coeffs(pts, vals, degree):

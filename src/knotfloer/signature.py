@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import det
+
 
 def checkerboard(d):
     """2-color the faces; returns list color[face_index] in {0, 1}.
@@ -140,23 +142,4 @@ def determinant(d, white=1):
     """|Delta(-1)| computed from the reduced Goeritz matrix."""
     white_faces, G, eta, type2 = goeritz_data(d, white)
     reduced = [row[:-1] for row in G[:-1]]
-    n = len(reduced)
-    a = [[Fraction(x) for x in row] for row in reduced]
-    det = Fraction(1)
-    for i in range(n):
-        piv = None
-        for j in range(i, n):
-            if a[j][i] != 0:
-                piv = j
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        for j in range(i + 1, n):
-            f = a[j][i] / a[i][i]
-            for k in range(i, n):
-                a[j][k] -= f * a[i][k]
-    return abs(int(det))
+    return abs(det(reduced))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from .filtered import FieldF2, FilteredComplex, Generator, _matrix_rank
+from . import linalg
+from .filtered import FieldF2, FilteredComplex, Generator
 from .laurent import LaurentPolynomial
 
 EPSILON = 1  # reduced-rank sign in the closed form, fixed by elimination
@@ -242,14 +242,15 @@ def perfect_input(ranks, s, delta, field="F2"):
     return KnotFloerInput(m.hat(), s, delta, m)
 
 
-def input_from_alternating(d, field="F2"):
+def input_from_alternating(d, field="F2", certificate=None):
     """KnotFloerInput of a small alternating diagram: ranks from the marked
-    partial resolutions, level from half the signature."""
+    partial resolutions (those recorded by `certificate` when given), level
+    from half the signature."""
     from . import altgen
     from .fox import alexander
     from .signature import signature
 
-    ranks = altgen.reduced_ranks(d)
+    ranks = altgen.reduced_ranks(d, certificate)
     sig = signature(d)
     if sig % 2 != 0:
         raise SurgeryConsistencyError("odd signature")
@@ -375,29 +376,22 @@ def big_surgery_homology(inp, k, structure=True):
     for (src, tgt, m), c in model.arrows.items():
         arrows_by_src.setdefault(src, []).append((tgt, m, c))
 
-    def dmat(g):
-        srcs = by_gr.get(g, [])
-        tgts = by_gr.get(g - 1, [])
-        ti = {t: r for r, t in enumerate(tgts)}
-        rows = [[field.zero] * len(srcs) for _ in tgts]
-        for c_idx, (yid, j) in enumerate(srcs):
-            for tgt, m, c in arrows_by_src.get(yid, []):
-                key = (tgt, j - m)
-                if key in ti:
-                    rows[ti[key]][c_idx] = rows[ti[key]][c_idx] + c
-        return rows, srcs, tgts
-
-    h_rank = {}
+    # one echelon pass per grading g: the kernel of d_g gives the cycles of
+    # g, the span of its images the boundaries of g - 1
     cycles = {}
     boundaries = {}
-    for g in range(gr_lo, gr_hi + 1):
-        m_g, srcs, _ = dmat(g)
-        z = _nullspace(m_g, len(srcs), field)
-        cycles[g] = (z, srcs)
-        m_up, _, tgts = dmat(g + 1)
-        b = _column_space(m_up, field)
-        boundaries[g] = (b, tgts)
-        h_rank[g] = len(z) - _rank_cols(b, field)
+    for g in range(gr_lo, gr_hi + 2):
+        ti = {key: r for r, key in enumerate(by_gr.get(g - 1, []))}
+        images = [
+            {ti[t, j - m]: c for t, m, c in arrows_by_src.get(yid, []) if (t, j - m) in ti}
+            for yid, j in by_gr.get(g, [])
+        ]
+        image, kernel = linalg.span_and_kernel(images, field)
+        if g <= gr_hi:
+            cycles[g] = (kernel, by_gr.get(g, []))
+        if g > gr_lo:
+            boundaries[g - 1] = (image, ti)
+    h_rank = {g: len(cycles[g][0]) - len(boundaries[g][0]) for g in cycles}
 
     safe = max(max(grs), inp.s, k) + 2
     tower_bottom = None
@@ -405,7 +399,7 @@ def big_surgery_homology(inp, k, structure=True):
         if h_rank.get(g, 0) == 0:
             continue
         gtop = g + 2 * ((safe - g) // 2 + 2)
-        if _u_power_rank(g, gtop, cycles, boundaries, field) >= 1:
+        if _u_power_rank(g, gtop, cycles, boundaries) >= 1:
             tower_bottom = g
             break
     if tower_bottom is None:
@@ -423,39 +417,32 @@ def big_surgery_homology(inp, k, structure=True):
 
     if not structure:
         return HomologyDescription(tower_bottom=tower_bottom, torsion=(), free=red)
-    torsion, free = _u_module_structure(red, tower_bottom, cycles, boundaries, field)
+    torsion, free = _u_module_structure(red, tower_bottom, cycles, boundaries)
     return HomologyDescription(tower_bottom=tower_bottom, torsion=tuple(torsion), free=free)
 
 
-def _u_power_rank(g, gtop, cycles, boundaries, field):
-    """Rank of u^[(gtop-g)/2] : H_gtop -> H_g."""
+def _u_power_rank(g, gtop, cycles, boundaries):
+    """Rank of u^[(gtop-g)/2] : H_gtop -> H_g: the number of cycles of gtop,
+    moved down by u, that are independent modulo the boundaries of g."""
     if gtop not in cycles or g not in cycles:
         return 0
     ztop, keys_top = cycles[gtop]
-    _, keys_g = cycles[g]
-    b, keys_b = boundaries[g]
-    if not ztop:
-        return 0
+    b, idx = boundaries[g]
     steps = (gtop - g) // 2
-    idx = {key: r for r, key in enumerate(keys_g)}
-    mapped = []
+    basis = b.copy()
+    r = 0
     for vec in ztop:
-        out = [field.zero] * len(keys_g)
-        for coeff, key in zip(vec, keys_top):
-            if coeff == field.zero:
-                continue
-            yid, j = key
-            tgt = (yid, j - steps)
-            if tgt in idx:
-                out[idx[tgt]] = out[idx[tgt]] + coeff
-        mapped.append(out)
-    bound_cols = [list(col) for col in b]
-    r_b = _rank_rows(bound_cols, field)
-    r_all = _rank_rows(bound_cols + mapped, field)
-    return r_all - r_b
+        mapped = {}
+        for i, coeff in linalg.entries(vec):
+            yid, j = keys_top[i]
+            t = idx.get((yid, j - steps))
+            if t is not None:
+                mapped[t] = coeff
+        r += basis.add(basis.row(mapped)) is None
+    return r
 
 
-def _u_module_structure(red, tower_bottom, cycles, boundaries, field):
+def _u_module_structure(red, tower_bottom, cycles, boundaries):
     """Split the reduced part into torsion towers T_n by u-power ranks.
 
     With red_R(g, m) the rank of u^m on the reduced part out of grading g,
@@ -482,7 +469,7 @@ def _u_module_structure(red, tower_bottom, cycles, boundaries, field):
     def red_R(g, m):
         if m == 0:
             return red.get(g, 0)
-        r = _u_power_rank(g - 2 * m, g, cycles, boundaries, field)
+        r = _u_power_rank(g - 2 * m, g, cycles, boundaries)
         return max(r - tower(g, m), 0)
 
     for g in sorted(set(red), reverse=True):
@@ -498,80 +485,6 @@ def _u_module_structure(red, tower_bottom, cycles, boundaries, field):
                 else:
                     torsion.append((n, g))
     return torsion, free
-
-
-def _nullspace(mat, ncols, field):
-    """Basis of the right nullspace (vectors over the columns)."""
-    if ncols == 0:
-        return []
-    if not mat:
-        out = []
-        for c in range(ncols):
-            vec = [field.zero] * ncols
-            vec[c] = field.one
-            out.append(vec)
-        return out
-    rows = [row[:] for row in mat]
-    nr = len(rows)
-    piv_col_of_row = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nr):
-            if field.coerce(rows[rr][c]) != field.zero:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        inv = 1 if field is FieldF2 else 1 / Fraction(pv)
-        for rr in range(nr):
-            if rr == r:
-                continue
-            f = field.coerce(rows[rr][c] * inv)
-            if f != field.zero:
-                for cc in range(ncols):
-                    rows[rr][cc] = field.coerce(rows[rr][cc] - f * rows[r][cc])
-        piv_col_of_row[r] = c
-        r += 1
-        if r == nr:
-            break
-    pivot_cols = set(piv_col_of_row.values())
-    basis = []
-    for c in range(ncols):
-        if c in pivot_cols:
-            continue
-        vec = [field.zero] * ncols
-        vec[c] = field.one
-        for rr, pc in piv_col_of_row.items():
-            val = field.coerce(rows[rr][c])
-            pv = rows[rr][pc]
-            inv = 1 if field is FieldF2 else 1 / Fraction(pv)
-            vec[pc] = field.coerce(-val * inv)
-        basis.append(vec)
-    return basis
-
-
-def _column_space(mat, field):
-    if not mat or not mat[0]:
-        return []
-    cols = [[mat[r][c] for r in range(len(mat))] for c in range(len(mat[0]))]
-    out = []
-    for col in cols:
-        if _rank_rows(out + [col], field) > len(out):
-            out.append(col)
-    return out
-
-
-def _rank_rows(vectors, field):
-    if not vectors:
-        return 0
-    return _matrix_rank([list(v) for v in vectors], field)
-
-
-def _rank_cols(cols, field):
-    return _rank_rows(cols, field)
 
 
 # -- invariants ------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
+
 import pytest
 
-from knotfloer import altgen, table
+from knotfloer import altgen, fox, surgery, table
 from knotfloer.diagrams import parse_pd
 from knotfloer.fox import alexander
 from knotfloer.laurent import LaurentPolynomial as L
@@ -94,3 +96,39 @@ def test_granny_diagram_small_with_product_ranks(trefoil):
     ranks = altgen.reduced_ranks(g)
     sq = alexander(trefoil) * alexander(trefoil)
     assert ranks == {e: abs(c) for e, c in sq.coeffs().items()}
+
+
+@pytest.mark.parametrize("call", ["enumerate_mprs", "generator_spectrum", "_sparse_determinant"])
+def test_enumerations_leave_no_reference_cycles(call):
+    d = table.lookup("9_2")
+    p = fox.wirtinger(d)
+    run = {
+        "enumerate_mprs": lambda: altgen.enumerate_mprs(d, 0),
+        "generator_spectrum": lambda: fox.generator_spectrum(p),
+        "_sparse_determinant": lambda: fox._sparse_determinant(fox.fox_matrix(p)),
+    }[call]
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_mprs_enumerated_once_per_c1_tried(monkeypatch):
+    d = table.lookup("7_4")
+    cert = altgen.certify_small(d)
+    calls = []
+    enumerate_mprs = altgen.enumerate_mprs
+
+    def counted(d, c1):
+        calls.append(c1)
+        return enumerate_mprs(d, c1)
+
+    monkeypatch.setattr(altgen, "enumerate_mprs", counted)
+    inp = surgery.input_from_alternating(d)
+    assert calls == list(range(cert.c1 + 1))
+    assert surgery.input_from_alternating(d, certificate=cert).cfr == inp.cfr
+    assert altgen.reduced_ranks(d, cert) == cert.ranks
+    assert calls == list(range(cert.c1 + 1))

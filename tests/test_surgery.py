@@ -178,3 +178,16 @@ def test_triple_tensor():
     assert [h_invariant(g3, k) for k in range(5)] == [
         h_perfect_closed_form(3, k) for k in range(5)
     ]
+
+
+def test_large_surgery_agrees_over_f2_and_q():
+    # mirrors have s < 0, so the sum's large surgeries carry torsion
+    f2 = [input_from_alternating(table.lookup(n).mirror()) for n in ("7_1", "3_1")]
+    q = [
+        perfect_input({e: abs(c) for e, c in i.delta.coeffs().items()}, i.s, i.delta, "Q")
+        for i in f2
+    ]
+    f2, q = input_from_tensor(*f2), input_from_tensor(*q)
+    answers = [big_surgery_homology(f2, k) for k in range(4)]
+    assert answers == [big_surgery_homology(q, k) for k in range(4)]
+    assert any(a.torsion for a in answers)
