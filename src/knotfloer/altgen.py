@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fox import _inversions, alexander
+from .fox import alexander, expand_letters
 from .laurent import LaurentPolynomial
 
 
@@ -96,67 +96,47 @@ def enumerate_mprs(d, c1):
     over = [arc_of[d.over_in_out(i)[0]] for i in range(d.n)]  # arc over each crossing
     rows, dropped = _letters(d, c1, arc_of, over)
     order = [i for i in range(d.n) if i != c1]
-    used = {}
-    raw = []  # (assignment tags, columns, exponent, sign)
-    tags = {}
-    cols = {}
+    leaves = expand_letters([[opt[1:] for opt in rows[i]] for i in order])
 
-    def rec(k, exp, sign):
-        if k == len(order):
-            seq = [cols[i] for i in order]
-            parity = 1 if _inversions(seq) % 2 == 0 else -1
-            raw.append((dict(tags), dict(cols), exp, sign * parity))
-            return
-        i = order[k]
-        for tag, col, de, ds in rows[i]:
-            if col in used:
-                continue
-            used[col] = i
-            tags[i] = tag
-            cols[i] = col
-            rec(k + 1, exp + de, sign * ds)
-            del used[col]
-
-    rec(0, 0, 1)
-    del rec  # rec refers to itself; drop the cycle so raw is freed on return
-
-    total = LaurentPolynomial()
-    for _, _, e, s in raw:
-        total = total + LaurentPolynomial({e: s})
+    total = {}
+    for _, e, s in leaves:
+        total[e] = total.get(e, 0) + s
     delta = alexander(d)
     try:
-        _, shift, flip = total.normalize_alexander()
+        check, shift, flip = LaurentPolynomial(total).normalize_alexander()
     except Exception as exc:
         raise ConsistencyError("spectrum does not normalize: %s" % exc)
-    check = LaurentPolynomial()
-    out = []
-    for tags_i, cols_i, e, s in raw:
-        ms = _marked_components(d, over, tags_i, cols_i)
-        assignment = tuple(tags_i.get(i) for i in range(d.n))
-        out.append(
-            MPR(
-                assignment=assignment,
-                alexander_exponent=e + shift,
-                sign=s * flip,
-                marked_components=ms,
-            )
-        )
-        check = check + LaurentPolynomial({e + shift: s * flip})
     if check != delta:
         raise ConsistencyError(
             "signed MPR spectrum %s != Alexander polynomial %s"
             % (check.to_text(), delta.to_text())
         )
+    out = []
+    for picks, e, s in leaves:
+        assignment = [None] * d.n
+        row_of_col = {}
+        for i, k in zip(order, picks):
+            tag, col, _, _ = rows[i][k]
+            assignment[i] = tag
+            row_of_col[col] = i
+        out.append(
+            MPR(
+                assignment=tuple(assignment),
+                alexander_exponent=e + shift,
+                sign=s * flip,
+                marked_components=_marked_components(d, over, assignment, row_of_col),
+            )
+        )
     return out
 
 
-def _marked_components(d, over, tags, cols):
-    """Cycles of resolved crossings, as frozensets of diagram edges; over[i]
-    is the arc passing over crossing i."""
-    resolved = [i for i, t in tags.items() if t in ("in", "out")]
+def _marked_components(d, over, tags, row_of_col):
+    """Cycles of resolved crossings, as frozensets of diagram edges; tags[i]
+    is the tag at crossing i, over[i] the arc passing over it and
+    row_of_col[arc] the crossing whose letter takes that column."""
+    resolved = [i for i, t in enumerate(tags) if t in ("in", "out")]
     if not resolved:
         return ()
-    row_of_col = {c: i for i, c in cols.items()}
     comps = []
     seen = set()
     for start in resolved:

@@ -7,13 +7,17 @@ under-strand at each crossing is a -> c with c = a+1 (mod 2n), and the
 over-strand is b -> d or d -> b, whichever direction ascends.
 
 All values are immutable after construction; every operation returns a new
-diagram.
+diagram.  Derived data (over-strands, arrival and departure maps, dart
+partners, faces, arcs) is computed once per diagram and handed out as tuples
+or read-only mappings.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 
 class PDSyntaxError(ValueError):
@@ -107,12 +111,17 @@ class KnotDiagram:
     def n_edges(self):
         return 2 * len(self.crossings)
 
+    @cached_property
+    def _over(self):
+        """Per crossing, (over-in edge, over-out edge)."""
+        m = self.n_edges
+        return tuple(
+            (x.b, x.d) if _wrap(x.b + 1, m) == x.d else (x.d, x.b) for x in self.crossings
+        )
+
     def over_in_out(self, i):
         """(over-in edge, over-out edge) at crossing i."""
-        x = self.crossings[i]
-        if _wrap(x.b + 1, self.n_edges) == x.d:
-            return x.b, x.d
-        return x.d, x.b
+        return self._over[i]
 
     def sign(self, i):
         """+1 when the over-strand runs b -> d, else -1.
@@ -121,9 +130,7 @@ class KnotDiagram:
         from a to c, the (under, over) frame is positively oriented exactly
         when the over-strand enters at b.
         """
-        x = self.crossings[i]
-        oi, _ = self.over_in_out(i)
-        return 1 if oi == x.b else -1
+        return 1 if self._over[i][0] == self.crossings[i].b else -1
 
     def signs(self):
         return tuple(self.sign(i) for i in range(self.n))
@@ -131,24 +138,28 @@ class KnotDiagram:
     def writhe(self):
         return sum(self.signs())
 
+    @cached_property
+    def _arrivals(self):
+        out = {}
+        for i, (x, (oi, _)) in enumerate(zip(self.crossings, self._over)):
+            out.setdefault(x.a, (i, "under"))
+            out.setdefault(oi, (i, "over"))
+        return MappingProxyType(out)
+
+    @cached_property
+    def _departures(self):
+        out = {}
+        for i, (x, (_, oo)) in enumerate(zip(self.crossings, self._over)):
+            out.setdefault(x.c, (i, "under"))
+            out.setdefault(oo, (i, "over"))
+        return MappingProxyType(out)
+
     def arrival(self, e):
         """(crossing index, role) where edge e arrives; role in {'under','over'}."""
-        for i, x in enumerate(self.crossings):
-            if x.a == e:
-                return i, "under"
-            oi, _ = self.over_in_out(i)
-            if oi == e:
-                return i, "over"
-        raise KeyError(e)
+        return self._arrivals[e]
 
     def departure(self, e):
-        for i, x in enumerate(self.crossings):
-            if x.c == e:
-                return i, "under"
-            _, oo = self.over_in_out(i)
-            if oo == e:
-                return i, "over"
-        raise KeyError(e)
+        return self._departures[e]
 
     def is_alternating(self):
         roles = [self.arrival(e)[1] for e in range(1, self.n_edges + 1)]
@@ -156,37 +167,37 @@ class KnotDiagram:
 
     # -- arcs (over-strands) ------------------------------------------------
 
-    def arcs(self):
-        """Partition of edges into arcs: maximal runs without an under-pass.
-
-        Returns a list of tuples of edge labels, each tuple in traversal
-        order. An arc ends exactly where its last edge arrives as the
-        under-strand.
-        """
+    @cached_property
+    def _arcs(self):
         m = self.n_edges
-        cut_after = set()  # edge e such that e arrives as under
-        for e in range(1, m + 1):
-            if self.arrival(e)[1] == "under":
-                cut_after.add(e)
+        cut_after = {e for e in range(1, m + 1) if self.arrival(e)[1] == "under"}
         arcs = []
         # start arcs just after each cut
-        starts = sorted(_wrap(e + 1, m) for e in cut_after)
-        for s in starts:
+        for s in sorted(_wrap(e + 1, m) for e in cut_after):
             arc = [s]
             e = s
             while e not in cut_after:
                 e = _wrap(e + 1, m)
                 arc.append(e)
             arcs.append(tuple(arc))
-        return arcs
+        return tuple(arcs)
+
+    def arcs(self):
+        """Partition of edges into arcs: maximal runs without an under-pass.
+
+        Returns a tuple of tuples of edge labels, each tuple in traversal
+        order. An arc ends exactly where its last edge arrives as the
+        under-strand.
+        """
+        return self._arcs
+
+    @cached_property
+    def _arc_of_edge(self):
+        return MappingProxyType({e: idx for idx, arc in enumerate(self._arcs) for e in arc})
 
     def arc_of_edge(self):
         """Map edge label -> arc index (into self.arcs())."""
-        out = {}
-        for idx, arc in enumerate(self.arcs()):
-            for e in arc:
-                out[e] = idx
-        return out
+        return self._arc_of_edge
 
     # -- faces ---------------------------------------------------------------
 
@@ -194,18 +205,38 @@ class KnotDiagram:
         """All (crossing, slot) pairs; slot 0..3 corresponds to (a,b,c,d)."""
         return [(i, s) for i in range(self.n) for s in range(4)]
 
-    def _dart_edge(self, dart):
-        i, s = dart
-        return self.crossings[i].ends()[s]
+    @cached_property
+    def _partner(self):
+        """Dart -> the dart at the other end of its edge."""
+        ends = {}
+        for i, x in enumerate(self.crossings):
+            for s, e in enumerate(x.ends()):
+                ends.setdefault(e, []).append((i, s))
+        out = {}
+        for darts in ends.values():
+            if len(darts) > 1:
+                for dart in darts:
+                    out[dart] = darts[1] if dart == darts[0] else darts[0]
+        return MappingProxyType(out)
 
-    def _other_end(self, dart):
-        i, s = dart
-        e = self._dart_edge(dart)
-        for j, x in enumerate(self.crossings):
-            for t, e2 in enumerate(x.ends()):
-                if e2 == e and (j, t) != (i, s):
-                    return (j, t)
-        raise KeyError(dart)
+    def _walks(self):
+        """Yield, per face, its list of leaving darts, in face order."""
+        visited = set()
+        for start in self.darts():
+            if start in visited:
+                continue
+            walk = []
+            cur = start
+            while cur not in visited:
+                visited.add(cur)
+                walk.append(cur)
+                j, t = self._partner[cur]
+                cur = (j, (t + 1) % 4)
+            yield walk
+
+    @cached_property
+    def _faces(self):
+        return tuple(tuple(self._partner[dart] for dart in walk) for walk in self._walks())
 
     def faces(self):
         """Faces of the underlying 4-valent planar map.
@@ -214,30 +245,19 @@ class KnotDiagram:
         (i, s) is the quadrant between slots s and s+1 (ccw) at crossing i.
         A face is traversed by leaving a vertex through an edge-end, arriving
         at the end (j, t) on the far side, recording corner (j, t), and
-        leaving again through slot t+1.
+        leaving again through slot t+1.  Returns a tuple of faces.
         """
-        visited = set()
-        faces = []
-        for start in self.darts():
-            if start in visited:
-                continue
-            face = []
-            cur = start
-            while cur not in visited:
-                visited.add(cur)
-                j, t = self._other_end(cur)
-                face.append((j, t))
-                cur = (j, (t + 1) % 4)
-            faces.append(tuple(face))
-        return faces
+        return self._faces
+
+    @cached_property
+    def _face_of_corner(self):
+        return MappingProxyType(
+            {corner: idx for idx, f in enumerate(self._faces) for corner in f}
+        )
 
     def face_of_corner(self):
         """Map corner (crossing, slot) -> face index."""
-        out = {}
-        for idx, f in enumerate(self.faces()):
-            for corner in f:
-                out[corner] = idx
-        return out
+        return self._face_of_corner
 
     def face_edge_walks(self):
         """Boundary walk of every face as a list of (edge, with_knot).
@@ -246,21 +266,13 @@ class KnotDiagram:
         an edge-end; with_knot records whether that step runs along the
         knot's orientation of the edge.
         """
-        visited = set()
-        walks = []
-        for start in self.darts():
-            if start in visited:
-                continue
-            walk = []
-            cur = start
-            while cur not in visited:
-                visited.add(cur)
-                e = self._dart_edge(cur)
-                walk.append((e, not _is_arrival_slot(self, *cur)))
-                j, t = self._other_end(cur)
-                cur = (j, (t + 1) % 4)
-            walks.append(tuple(walk))
-        return walks
+        return [
+            tuple(
+                (self.crossings[i].ends()[s], not _is_arrival_slot(self, i, s))
+                for i, s in walk
+            )
+            for walk in self._walks()
+        ]
 
     def is_prime_diagram(self):
         """No kinks, no removable bigons, and no 2-edge cut.

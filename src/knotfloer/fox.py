@@ -91,10 +91,11 @@ def abelianize(term):
     Accepts a FormalSum or a bare word tuple.
     """
     if isinstance(term, dict):
-        out = LaurentPolynomial()
+        out = {}
         for w, c in term.items():
-            out = out + LaurentPolynomial({exponent_sum(w): c})
-        return out
+            e = exponent_sum(w)
+            out[e] = out.get(e, 0) + c
+        return LaurentPolynomial(out)
     return LaurentPolynomial({exponent_sum(tuple(term)): 1})
 
 
@@ -229,6 +230,36 @@ def alexander(d):
 # -- generator spectrum ---------------------------------------------------------
 
 
+def expand_letters(rows, term_cap=10**8, out=None, j=0, used=0, picks=(), exp=0, sign=1):
+    """Leaves of the uncombined permutation expansion of a letter matrix.
+
+    rows[j] lists the letters (column, exponent, sign) of row j; a leaf picks
+    one letter per row, in pairwise distinct columns.  Returns the list of
+    (picks, exponent, sign) per leaf in lexicographic depth-first order:
+    picks[j] indexes the letter taken from row j, exponent is the sum of the
+    picked exponents and sign the product of the picked signs with the sign
+    of the column permutation.  The remaining arguments carry the partial
+    leaf down the recursion; used is the bitmask of the columns taken.
+    """
+    if out is None:
+        out = []
+    if j == len(rows):
+        if len(out) >= term_cap:
+            raise SpectrumResourceError("expansion exceeds %d terms" % term_cap)
+        out.append((picks, exp, sign))
+        return out
+    for k, (col, de, ds) in enumerate(rows[j]):
+        bit = 1 << col
+        if used & bit:
+            continue
+        # every used column to the right of col is one inversion
+        flip = -1 if (used >> col).bit_count() & 1 else 1
+        expand_letters(
+            rows, term_cap, out, j + 1, used | bit, picks + (k,), exp + de, sign * ds * flip
+        )
+    return out
+
+
 def generator_spectrum(p, term_cap=10**8):
     """Monomials of the uncombined Fox determinant, shifted to match Delta.
 
@@ -236,11 +267,9 @@ def generator_spectrum(p, term_cap=10**8):
     one per surviving monomial choice, whose signed sum is exactly the
     normalized Alexander polynomial delta.
     """
-    rows = fox_matrix(p)
-    n = len(rows)
-    if n != p.g - 1:
+    if len(p.relators) != p.g - 1:
         raise ValueError("presentation must have g-1 relators")
-    # per row: list of (column, exponent, sign) letter-monomials
+    # per row: (column, exponent, sign) letter-monomials of the Fox derivative
     letters = []
     for rel in p.relators:
         row = []
@@ -253,40 +282,10 @@ def generator_spectrum(p, term_cap=10**8):
                     row.append((g, prefix_exp + e, -1))
             prefix_exp += e
         letters.append(row)
-    spectrum = []
-    used = [False] * (p.g - 1)
-    cols = []
-
-    def rec(j, exp, sign):
-        if len(spectrum) > term_cap:
-            raise SpectrumResourceError("expansion exceeds %d terms" % term_cap)
-        if j == n:
-            inv_parity = _inversions(cols) % 2
-            spectrum.append((exp, sign if inv_parity == 0 else -sign))
-            return
-        for col, de, ds in letters[j]:
-            if used[col]:
-                continue
-            used[col] = True
-            cols.append(col)
-            rec(j + 1, exp + de, sign * ds)
-            cols.pop()
-            used[col] = False
-
-    rec(0, 0, 1)
-    del rec  # rec refers to itself; drop the cycle so spectrum is freed
-    raw = LaurentPolynomial()
+    spectrum = [(e, s) for _, e, s in expand_letters(letters, term_cap)]
+    raw = {}
     for e, s in spectrum:
-        raw = raw + LaurentPolynomial({e: s})
-    delta, shift, flip = normalize_or_raise(raw)
+        raw[e] = raw.get(e, 0) + s
+    delta, shift, flip = normalize_or_raise(LaurentPolynomial(raw))
     spectrum = [(e + shift, s * flip) for e, s in spectrum]
     return spectrum, delta
-
-
-def _inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv

@@ -66,9 +66,6 @@ class LaurentPolynomial:
             raise ValueError("zero polynomial has no support")
         return max(self._c)
 
-    def degree_span(self):
-        return 0 if self.is_zero() else self.max_exp - self.min_exp
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented

@@ -8,6 +8,8 @@ the normalized det(V - t V^T).  Nothing here touches the Fox-calculus path.
 
 from __future__ import annotations
 
+import math
+
 from .diagrams import _is_arrival_slot
 from .laurent import LaurentPolynomial
 from .linalg import det
@@ -167,13 +169,7 @@ def _braided_structure(d):
             order.append(nxt[0])
     pos = {c: k for k, c in enumerate(order)}
     # cyclic order of crossings around each circle (walk order)
-    walk_order = []
-    for idx, circle in enumerate(circles):
-        seq = []
-        for e in circle:
-            i, _ = _edge_arrival_crossing(d, e)
-            seq.append(i)
-        walk_order.append(tuple(seq))
+    walk_order = [tuple(d.arrival(e)[0] for e in circle) for circle in circles]
     # per gap (between order[g], order[g+1]) crossing list in the walk order
     # of the outer circle of the gap
     gaps = []
@@ -185,15 +181,6 @@ def _braided_structure(d):
         if not ring:
             raise BraidingError("empty gap between nested circles")
     return order, pos, gaps, walk_order, links
-
-
-def _edge_arrival_crossing(d, e):
-    """Crossing where edge e feeds into its smoothed successor."""
-    for i, x in enumerate(d.crossings):
-        oi, _ = d.over_in_out(i)
-        if x.a == e or oi == e:
-            return i, x
-    raise KeyError(e)
 
 
 def seifert_matrix(d):
@@ -247,40 +234,36 @@ def alexander_via_seifert(d):
     n = len(V)
     if n == 0:
         return LaurentPolynomial.one()
-    # det(V - t V^T) is a polynomial of degree <= n: evaluate at integers
-    # (exactly, by Bareiss) and interpolate
-    pts = range(2, n + 3)
+    # det(V - t V^T) is an integer polynomial of degree <= n: evaluate it at
+    # t = 0..n (exactly, by Bareiss) and interpolate
     vals = [
         det([[V[i][j] - t0 * V[j][i] for j in range(n)] for i in range(n)])
-        for t0 in pts
+        for t0 in range(n + 1)
     ]
-    coeffs = _lagrange_int_coeffs(pts, vals, n)
-    poly = LaurentPolynomial({k: c for k, c in enumerate(coeffs) if c})
+    poly = LaurentPolynomial(dict(enumerate(_interpolate(vals))))
     q, _, _ = poly.normalize_alexander()
     return q
 
 
-def _lagrange_int_coeffs(pts, vals, degree):
-    from fractions import Fraction
+def _interpolate(vals):
+    """Coefficients, lowest first, of the integer polynomial p of degree
+    < len(vals) with p(t) = vals[t] for t = 0, 1, ...
 
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(zip(pts, vals)):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k in range(len(num)):
-                new[k + 1] += num[k]
-                new[k] -= xj * num[k]
-            num = new
-            den *= xi - xj
-        for k in range(len(num)):
-            coeffs[k] += yi * num[k] / den
-    out = []
-    for v in coeffs:
-        if v.denominator != 1:
+    Newton form on the nodes 0, 1, ...: the k-th forward difference at 0
+    divided by k!, then Horner steps p <- p * (t - k) + c_k.
+    """
+    newton = []
+    diffs = list(vals)
+    for k in range(len(vals)):
+        c, r = divmod(diffs[0], math.factorial(k))
+        if r:
             raise ArithmeticError("interpolated determinant is not integral")
-        out.append(int(v))
-    return out
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += newton[k]
+    return coeffs

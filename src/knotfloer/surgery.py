@@ -67,6 +67,9 @@ class UModel:
             c = field.coerce(c)
             if c != field.zero:
                 self.arrows[(str(src), str(tgt), int(m))] = c
+        self.by_src = {}  # src -> its arrow keys (src, tgt, m), in arrow order
+        for key in self.arrows:
+            self.by_src.setdefault(key[0], []).append(key)
         if check:
             self._check()
 
@@ -85,10 +88,10 @@ class UModel:
                 )
         comp = {}
         for (a, b, m1), c1 in self.arrows.items():
-            for (b2, c_, m2), c2 in self.arrows.items():
-                if b2 == b:
-                    key = (a, c_, m1 + m2)
-                    comp[key] = comp.get(key, self.field.zero) + c1 * c2
+            for arrow in self.by_src.get(b, ()):
+                _, c_, m2 = arrow
+                key = (a, c_, m1 + m2)
+                comp[key] = comp.get(key, self.field.zero) + c1 * self.arrows[arrow]
         for key, v in comp.items():
             if self.field.coerce(v) != self.field.zero:
                 raise SurgeryInputError("d^2 != 0 at %s" % (key,))
@@ -111,15 +114,15 @@ class UModel:
         for g in self.generators:
             for h in other.generators:
                 src = "%s|%s" % (g.id, h.id)
-                for (a, b, m), c in self.arrows.items():
-                    if a == g.id:
-                        key = (src, "%s|%s" % (b, h.id), m)
-                        arrows[key] = arrows.get(key, 0) + c
-                for (a, b, m), c in other.arrows.items():
-                    if a == h.id:
-                        sign = 1 if (self.field is FieldF2 or g.gr % 2 == 0) else -1
-                        key = (src, "%s|%s" % (g.id, b), m)
-                        arrows[key] = arrows.get(key, 0) + sign * c
+                for arrow in self.by_src.get(g.id, ()):
+                    _, b, m = arrow
+                    key = (src, "%s|%s" % (b, h.id), m)
+                    arrows[key] = arrows.get(key, 0) + self.arrows[arrow]
+                sign = 1 if (self.field is FieldF2 or g.gr % 2 == 0) else -1
+                for arrow in other.by_src.get(h.id, ()):
+                    _, b, m = arrow
+                    key = (src, "%s|%s" % (g.id, b), m)
+                    arrows[key] = arrows.get(key, 0) + sign * other.arrows[arrow]
         return UModel(gens, arrows, self.field)
 
 
@@ -372,10 +375,6 @@ def big_surgery_homology(inp, k, structure=True):
         for j in range(max(jlo, j0), j1 + 1):
             by_gr.setdefault(g.gr + 2 * j, []).append((g.id, j))
 
-    arrows_by_src = {}
-    for (src, tgt, m), c in model.arrows.items():
-        arrows_by_src.setdefault(src, []).append((tgt, m, c))
-
     # one echelon pass per grading g: the kernel of d_g gives the cycles of
     # g, the span of its images the boundaries of g - 1
     cycles = {}
@@ -383,7 +382,11 @@ def big_surgery_homology(inp, k, structure=True):
     for g in range(gr_lo, gr_hi + 2):
         ti = {key: r for r, key in enumerate(by_gr.get(g - 1, []))}
         images = [
-            {ti[t, j - m]: c for t, m, c in arrows_by_src.get(yid, []) if (t, j - m) in ti}
+            {
+                ti[t, j - m]: model.arrows[y, t, m]
+                for y, t, m in model.by_src.get(yid, ())
+                if (t, j - m) in ti
+            }
             for yid, j in by_gr.get(g, [])
         ]
         image, kernel = linalg.span_and_kernel(images, field)

@@ -93,3 +93,28 @@ def test_prime_diagram_flags(trefoil):
     assert trefoil.is_prime_diagram()
     assert not trefoil.connected_sum(trefoil).is_prime_diagram()
     assert not parse_pd(UNKNOT2).is_prime_diagram()  # kinks
+
+
+def test_cached_views_are_read_only_and_keep_equality():
+    d = table.lookup("8_12")
+    twin = KnotDiagram(d.crossings, "another name")
+    before = hash(d)
+    assert d == twin and hash(twin) == before
+    faces, corner_face = d.faces(), d.face_of_corner()
+    arcs, arc_of = d.arcs(), d.arc_of_edge()
+    assert isinstance(faces, tuple) and isinstance(arcs, tuple)
+    with pytest.raises(TypeError):
+        corner_face[(0, 0)] = -1
+    with pytest.raises(TypeError):
+        arc_of[1] = -1
+    with pytest.raises(TypeError):
+        d._arrivals[1] = (0, "under")
+    d.is_alternating(), d.departure(1), d.face_edge_walks(), d.over_in_out(0)
+    # repeated calls hand out the same objects, unchanged
+    assert d.faces() is faces and d.arc_of_edge() is arc_of
+    assert hash(d) == before and d == twin and twin == d
+    assert faces == KnotDiagram(d.crossings).faces()
+    with pytest.raises(KeyError):
+        d.arrival(d.n_edges + 1)
+    with pytest.raises(KeyError):
+        d.departure(0)

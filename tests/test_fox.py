@@ -1,3 +1,5 @@
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +8,7 @@ from knotfloer.fox import (
     FormalSum,
     abelianize,
     alexander,
+    expand_letters,
     fox_derivative,
     free_reduce,
     generator_spectrum,
@@ -102,3 +105,47 @@ def test_spectrum_term_cap():
     d = table.lookup("8_12")
     with pytest.raises(SpectrumResourceError):
         generator_spectrum(wirtinger(d), term_cap=3)
+
+
+def letter_rows(max_n=6):
+    """n rows of (column, exponent, sign) letters over n columns; a row may
+    repeat a column, as a Fox derivative row can."""
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=max(n - 1, 0)),
+                    st.integers(min_value=-2, max_value=2),
+                    st.sampled_from([1, -1]),
+                ),
+                max_size=3,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_rows())
+def test_expansion_sums_to_leibniz_determinant(rows):
+    n = len(rows)
+    entry = [[L.zero() for _ in range(n)] for _ in range(n)]
+    for j, row in enumerate(rows):
+        for col, e, s in row:
+            entry[j][col] = entry[j][col] + L.t(e, s)
+    det = L.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = L.t(0, -1 if inversions % 2 else 1)
+        for j in range(n):
+            term = term * entry[j][perm[j]]
+        det = det + term
+    leaves = expand_letters(rows)
+    total = L.zero()
+    for picks, e, s in leaves:
+        cols = [rows[j][k][0] for j, k in enumerate(picks)]
+        assert len(set(cols)) == n
+        assert e == sum(rows[j][k][1] for j, k in enumerate(picks))
+        total = total + L.t(e, s)
+    assert total == det

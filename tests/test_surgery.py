@@ -1,5 +1,7 @@
 import pytest
 
+from fractions import Fraction
+
 from conftest import right_handed
 
 from knotfloer import table
@@ -153,6 +155,57 @@ def test_thin_model_structure():
 def test_umodel_validation():
     with pytest.raises(SurgeryInputError):
         UModel([("a", 0, 0), ("b", 0, 0)], {("a", "b", 0): 1})
+
+
+def test_umodel_rejects_nonzero_d_squared():
+    # a -> b -> c respects both gradings, but d^2 a = c
+    gens = [("a", 0, 2), ("b", 0, 1), ("c", 0, 0)]
+    with pytest.raises(SurgeryInputError, match="d\\^2"):
+        UModel(gens, {("a", "b", 0): 1, ("b", "c", 0): 1}, "Q")
+    # two paths a -> b -> c and a -> b' -> c cancel over Q, not with equal signs
+    gens.append(("b'", 0, 1))
+    paths = {("a", "b", 0): 1, ("b", "c", 0): 1, ("a", "b'", 0): 1}
+    UModel(gens, {**paths, ("b'", "c", 0): -1}, "Q")
+    with pytest.raises(SurgeryInputError, match="d\\^2"):
+        UModel(gens, {**paths, ("b'", "c", 0): 1}, "Q")
+    UModel(gens, {**paths, ("b'", "c", 0): 1}, "F2")
+
+
+def all_pairs_tensor_arrows(m1, m2):
+    """Leibniz rule d(x|y) = dx|y + (-1)^gr(x) x|dy, over every pair."""
+    out = {}
+    for x in m1.generators:
+        for y in m2.generators:
+            for (a, b, m), c in m1.arrows.items():
+                if a == x.id:
+                    key = ("%s|%s" % (x.id, y.id), "%s|%s" % (b, y.id), m)
+                    out[key] = out.get(key, 0) + c
+            for (a, b, m), c in m2.arrows.items():
+                if a == y.id:
+                    key = ("%s|%s" % (x.id, y.id), "%s|%s" % (x.id, b), m)
+                    out[key] = out.get(key, 0) + (-1) ** (x.gr % 2) * c
+    return out
+
+
+@pytest.mark.parametrize("field", ["F2", "Q"])
+def test_tensor_arrows_match_all_pairs_leibniz_rule(field):
+    models = [
+        thin_model({1: 1, 0: 1, -1: 1}, 1, field),
+        thin_model({1: 1, 0: 1, -1: 1}, -1, field),
+        thin_model({1: 1, 0: 3, -1: 1}, 0, field),
+        thin_model({1: 2, 0: 3, -1: 2}, -1, field),
+        thin_model({2: 1, 1: 1, 0: 1, -1: 1, -2: 1}, -2, field),
+    ]
+    for m1 in models:
+        for m2 in models:
+            t = m1.tensor(m2)
+            expected = {}
+            for key, c in all_pairs_tensor_arrows(m1, m2).items():
+                c = t.field.coerce(Fraction(c))
+                if c != t.field.zero:
+                    expected[key] = c
+            assert t.arrows == expected
+            assert len(t.generators) == len(m1.generators) * len(m2.generators)
 
 
 def test_torsion_towers_on_negative_levels():
