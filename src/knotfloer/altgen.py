@@ -13,6 +13,8 @@ monomial choice into its diagram presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
+from typing import NamedTuple
 
 from .fox import alexander, expand_letters
 from .laurent import LaurentPolynomial
@@ -31,34 +33,30 @@ class ConsistencyError(RuntimeError):
 
 
 TAGS = ("+", "-", "in", "out")
+BASE_TAG = {"+": "+", "-": "-", "in": "-", "out": "+"}  # tag over the base generator
 
 
-@dataclass(frozen=True)
-class MPR:
+class MPR(NamedTuple):
     """One marked partial resolution.
 
     assignment[i] is '+', '-', 'in' or 'out' per crossing (None at c1);
     'in'/'out' mean the crossing is resolved with the marked component
     through its incoming/outgoing under-edge.  alexander_exponent and sign
-    give the generator's monomial in the normalized spectrum.
+    give the generator's monomial in the normalized spectrum.  base is the
+    assignment of the base generator the MPR lies over ('in' read as '-',
+    'out' as '+') and resolved the crossings tagged 'in' or 'out', in
+    increasing order; enumerate_mprs sets both with the rest.
     """
 
     assignment: tuple
     alexander_exponent: int
     sign: int
     marked_components: tuple  # of frozensets of edges
-
-    @property
-    def resolved(self):
-        return tuple(
-            i for i, t in enumerate(self.assignment) if t in ("in", "out")
-        )
+    base: tuple
+    resolved: tuple
 
     def base_assignment(self):
-        return tuple(
-            None if t is None else {"in": "-", "out": "+"}.get(t, t)
-            for t in self.assignment
-        )
+        return self.base
 
     def is_base(self):
         return not self.resolved
@@ -86,7 +84,11 @@ def enumerate_mprs(d, c1):
 
     The signed sum of the spectrum is checked against the Alexander
     polynomial of the diagram; a mismatch means the letter dictionary went
-    inconsistent and raises ConsistencyError.
+    inconsistent and raises ConsistencyError.  Each MPR is built once, with
+    its base and resolved crossings, at its leaf of the expansion, from
+    per-crossing tables of tags, base tags and resolved codes; the MPRs with
+    one resolved sub-assignment share its resolved tuple and marked
+    components, derived once.
     """
     if not d.is_alternating():
         raise NotAlternatingError("MPR enumeration needs an alternating diagram")
@@ -111,49 +113,73 @@ def enumerate_mprs(d, c1):
             "signed MPR spectrum %s != Alexander polynomial %s"
             % (check.to_text(), delta.to_text())
         )
+    # per crossing, per option: tag, base tag and resolved code (bit i for a
+    # crossing i resolved, bit n + i more when it is resolved 'out'); c1 has
+    # the one option None
+    n = d.n
+    tags = [(None,) if row is None else tuple(opt[0] for opt in row) for row in rows]
+    bases = [tuple(BASE_TAG.get(t) for t in row) for row in tags]
+    codes = [
+        tuple((1 << i | 1 << (n + i)) if t == "out" else (1 << i) if t == "in" else 0 for t in row)
+        for i, row in enumerate(tags)
+    ]
+    components = {}  # resolved code -> (resolved crossings, marked components)
     out = []
     for picks, e, s in leaves:
-        assignment = [None] * d.n
-        row_of_col = {}
-        for i, k in zip(order, picks):
-            tag, col, _, _ = rows[i][k]
-            assignment[i] = tag
-            row_of_col[col] = i
+        picks = picks[:c1] + (0,) + picks[c1:]  # c1 takes its one option
+        code = sum(map(getitem, codes, picks))
+        found = components.get(code)
+        if found is None:
+            found = components[code] = _marked_components(d, arc_of, over, code)
         out.append(
             MPR(
-                assignment=tuple(assignment),
-                alexander_exponent=e + shift,
-                sign=s * flip,
-                marked_components=_marked_components(d, over, assignment, row_of_col),
+                tuple(map(getitem, tags, picks)),
+                e + shift,
+                s * flip,
+                found[1],
+                tuple(map(getitem, bases, picks)),
+                found[0],
             )
         )
     return out
 
 
-def _marked_components(d, over, tags, row_of_col):
-    """Cycles of resolved crossings, as frozensets of diagram edges; tags[i]
-    is the tag at crossing i, over[i] the arc passing over it and
-    row_of_col[arc] the crossing whose letter takes that column."""
-    resolved = [i for i, t in enumerate(tags) if t in ("in", "out")]
-    if not resolved:
-        return ()
+def _marked_components(d, arc_of, over, code):
+    """(resolved crossings, marked components) of one resolved sub-assignment.
+
+    Bit i of code marks crossing i resolved and bit n + i marks it resolved
+    'out'.  A resolved crossing takes the column of the arc of its marked
+    under-edge (incoming for 'in', outgoing for 'out'); the walk from a
+    resolved crossing to the resolved crossing whose column is the arc over
+    it closes into a cycle, whose under-edges form one marked component,
+    given as a frozenset of diagram edges.  A walk that reaches an arc no
+    resolved crossing takes raises ConsistencyError.
+    """
+    n = d.n
+    resolved = tuple(i for i in range(n) if code >> i & 1)
+    edge = {}
+    for i in resolved:
+        x = d.crossings[i]
+        edge[i] = x.c if code >> (n + i) & 1 else x.a
+    row_of_col = {arc_of[e]: i for i, e in edge.items()}
     comps = []
     seen = set()
     for start in resolved:
         if start in seen:
             continue
-        cyc = []
+        edges = []
         cur = start
         while cur not in seen:
             seen.add(cur)
-            cyc.append(cur)
-            cur = row_of_col[over[cur]]
-        edges = []
-        for i in cyc:
-            x = d.crossings[i]
-            edges.append(x.a if tags[i] == "in" else x.c)
+            edges.append(edge[cur])
+            cur = row_of_col.get(over[cur])
+            if cur is None:
+                raise ConsistencyError(
+                    "marked component from crossing %d leaves the resolved crossings %s"
+                    % (start, resolved)
+                )
         comps.append(frozenset(edges))
-    return tuple(sorted(comps, key=sorted))
+    return resolved, tuple(sorted(comps, key=sorted))
 
 
 def pools(d, c1, mprs=None):
@@ -166,18 +192,22 @@ def pools(d, c1, mprs=None):
         mprs = enumerate_mprs(d, c1)
     groups = {}
     for m in mprs:
-        key = m.base_assignment()
-        groups.setdefault(key, [None, set(), 0])
-        if m.is_base():
-            groups[key][0] = m
-        groups[key][1].update(m.marked_components)
-        groups[key][2] += 1
+        group = groups.get(m.base)
+        if group is None:
+            group = groups[m.base] = [None, set(), 0]
+        if not m.resolved:
+            group[0] = m
+        group[1].update(m.marked_components)
+        group[2] += 1
+    crossings = {}  # component -> crossings on it
     for key, (base, comps, count) in groups.items():
         if base is None:
             raise ConsistencyError("an MPR class lacks its base generator")
         crossings_used = set()
         for comp in comps:
-            cs = _component_crossings(d, comp)
+            cs = crossings.get(comp)
+            if cs is None:
+                cs = crossings[comp] = _component_crossings(d, comp)
             if crossings_used & cs:
                 raise ConsistencyError("pool components share a crossing")
             crossings_used |= cs
@@ -269,7 +299,9 @@ def certify_small(d):
     """Try each crossing as c1; certify with the first all-small choice.
 
     A small verdict records its c1's survivor ranks, so the MPRs are
-    enumerated once per c1 tried.
+    enumerated once per c1 tried.  Each distinct tuple of marked components
+    is checked once, in enumeration order, so the witness of a diagram that
+    is not small is the first non-small component of the first MPR having one.
     """
     if not d.is_alternating():
         raise NotAlternatingError("smallness is defined for alternating diagrams")
@@ -280,14 +312,19 @@ def certify_small(d):
         last_c1 = c1
         ok = True
         mprs = enumerate_mprs(d, c1)
+        checked = set()  # component tuples found all small
         for m in mprs:
-            for comp in m.marked_components:
+            comps = m.marked_components
+            if not comps or comps in checked:
+                continue
+            for comp in comps:
                 if not component_is_small(d, comp, cache):
                     witness = (m, comp)
                     ok = False
                     break
             if not ok:
                 break
+            checked.add(comps)
         if ok:
             ranks = {}
             for base, comps, _ in pools(d, c1, mprs).values():

@@ -158,11 +158,16 @@ def wirtinger(d):
 def fox_matrix(p):
     """Abelianized Fox matrix, dropping the last generator column.
 
-    Entry [j][i] is the Laurent polynomial of d_{x_i} w_j for i < g-1.
+    Entry [j][i] is the Laurent polynomial of d_{x_i} w_j for i < g-1.  Only
+    the generators occurring in w_j are differentiated; every other entry is
+    one shared zero polynomial.
     """
+    zero = LaurentPolynomial.zero()
     rows = []
     for rel in p.relators:
-        row = [abelianize(fox_derivative(rel, i)) for i in range(p.g - 1)]
+        row = [zero] * (p.g - 1)
+        for i in {g for g, _ in rel if g < p.g - 1}:
+            row[i] = abelianize(fox_derivative(rel, i))
         rows.append(row)
     return rows
 

@@ -132,3 +132,83 @@ def test_mprs_enumerated_once_per_c1_tried(monkeypatch):
     assert surgery.input_from_alternating(d, certificate=cert).cfr == inp.cfr
     assert altgen.reduced_ranks(d, cert) == cert.ranks
     assert calls == list(range(cert.c1 + 1))
+
+
+def reference_mprs(d, c1):
+    """The per-leaf construction enumerate_mprs replaced, kept as a reference:
+    the full column -> row walk over every row and the tag map read per MPR.
+    Returns (assignment, exponent, sign, components, base, is_base) per leaf."""
+    arc_of = d.arc_of_edge()
+    over = [arc_of[d.over_in_out(i)[0]] for i in range(d.n)]
+    rows, _ = altgen._letters(d, c1, arc_of, over)
+    order = [i for i in range(d.n) if i != c1]
+    leaves = fox.expand_letters([[opt[1:] for opt in rows[i]] for i in order])
+    total = {}
+    for _, e, s in leaves:
+        total[e] = total.get(e, 0) + s
+    _, shift, flip = L(total).normalize_alexander()
+    out = []
+    for picks, e, s in leaves:
+        tags = [None] * d.n
+        row_of_col = {}
+        for i, k in zip(order, picks):
+            tag, col, _, _ = rows[i][k]
+            tags[i] = tag
+            row_of_col[col] = i
+        resolved = [i for i, t in enumerate(tags) if t in ("in", "out")]
+        comps, seen = [], set()
+        for start in resolved:
+            if start in seen:
+                continue
+            cyc, cur = [], start
+            while cur not in seen:
+                seen.add(cur)
+                cyc.append(cur)
+                cur = row_of_col[over[cur]]
+            comps.append(
+                frozenset(d.crossings[i].a if tags[i] == "in" else d.crossings[i].c for i in cyc)
+            )
+        base = tuple(None if t is None else {"in": "-", "out": "+"}.get(t, t) for t in tags)
+        out.append(
+            (tuple(tags), e + shift, s * flip, tuple(sorted(comps, key=sorted)), base, not resolved)
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", table.alternating_names())
+def test_mprs_match_reference_construction(name):
+    d = table.lookup(name)
+    for c1 in sorted({0, altgen.certify_small(d).c1}):
+        got = [
+            (m.assignment, m.alexander_exponent, m.sign, m.marked_components,
+             m.base_assignment(), m.is_base())
+            for m in altgen.enumerate_mprs(d, c1)
+        ]
+        assert got == reference_mprs(d, c1)
+
+
+def test_marked_component_walk_leaving_resolved_crossings_raises(trefoil):
+    # crossing 0 resolved alone: no resolved crossing takes the arc over it
+    arc_of = trefoil.arc_of_edge()
+    over = [arc_of[trefoil.over_in_out(i)[0]] for i in range(trefoil.n)]
+    for code in (1, 1 | 1 << trefoil.n):
+        with pytest.raises(altgen.ConsistencyError):
+            altgen._marked_components(trefoil, arc_of, over, code)
+
+
+def test_mpr_fields_and_pool_checks(figure8):
+    ms = altgen.enumerate_mprs(figure8, 0)
+    for m in ms:
+        assert m.resolved == tuple(i for i, t in enumerate(m.assignment) if t in ("in", "out"))
+        assert m == altgen.MPR(*m) and hash(m) == hash(altgen.MPR(*m))
+    groups = altgen.pools(figure8, 0, ms)
+    assert set(groups) == {m.base for m in ms}
+    with pytest.raises(altgen.ConsistencyError, match="lacks its base"):
+        altgen.pools(figure8, 0, [m for m in ms if m.resolved])
+    with pytest.raises(altgen.ConsistencyError, match="class size"):
+        altgen.pools(figure8, 0, [m for m in ms if m.resolved] + [m for m in ms if not m.resolved] * 2)
+    # the two components of figure8 at c1 = 0 share crossings 2 and 3
+    first, second = sorted({c for m in ms for c in m.marked_components}, key=sorted)
+    m = next(m for m in ms if m.marked_components == (first,))
+    with pytest.raises(altgen.ConsistencyError, match="share a crossing"):
+        altgen.pools(figure8, 0, ms + [m._replace(marked_components=(second,))])
