@@ -8,8 +8,9 @@ Modules:
   seifert    the independent Seifert-matrix route to the Alexander polynomial
   altgen     marked partial resolutions, smallness, reduced ranks
   filtered   filtered chain complexes, cancellation, reduction
-  linalg     exact rank, nullspace and determinant: F2 bitset rows, sparse
-             Q rows, integer Bareiss; the only place rows are eliminated
+  linalg     exact rank, nullspace, determinants and signature: F2 bitset
+             rows, sparse Q rows, integer Bareiss, polynomial determinants by
+             interpolation; the only place rows are eliminated
   laurent    Laurent polynomials and Alexander normalization
   surgery    subquotient complexes, large-surgery homology, h-invariants
   maslov     combinatorial Maslov indices of domains on cellulated surfaces

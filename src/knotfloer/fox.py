@@ -1,9 +1,10 @@
 """Free-group Fox calculus over the meridian abelianization.
 
 Wirtinger presentations read off a diagram, free derivatives, abelianized
-Fox matrices, the Alexander polynomial as a sparse determinant, and the
-signed generator spectrum obtained by expanding that determinant without
-ever combining terms.
+Fox matrices, the Alexander polynomial as the Fox determinant (evaluated at
+integer points and interpolated by linalg.poly_det), and the signed
+generator spectrum obtained by expanding that determinant without ever
+combining terms.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPolynomial, NormalizationError
+from .linalg import poly_det
 
 
 class SpectrumResourceError(RuntimeError):
@@ -172,50 +174,29 @@ def fox_matrix(p):
     return rows
 
 
-def _sparse_determinant(rows):
-    """Permutation expansion with pruning of zero entries.
-
-    Rows of Fox matrices carry at most three nonzero entries, so the
-    lexicographic depth-first expansion stays small.
-    """
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial.one()
-    cols_nonzero = [
-        sorted(i for i, entry in enumerate(row) if not entry.is_zero()) for row in rows
-    ]
-    total = LaurentPolynomial.zero()
-    used = [False] * n
-    cols = []
-
-    def rec(j, acc, parity):
-        nonlocal total
-        if j == n:
-            total = total + (acc if parity > 0 else -acc)
-            return
-        for i in cols_nonzero[j]:
-            if used[i]:
-                continue
-            inv = sum(1 for c in cols if c > i)
-            used[i] = True
-            cols.append(i)
-            rec(j + 1, acc * rows[j][i], parity * (-1) ** inv)
-            cols.pop()
-            used[i] = False
-
-    rec(0, LaurentPolynomial.one(), 1)
-    del rec  # rec refers to itself; drop the cycle before returning
-    return total
-
-
 def alexander_from_presentation(p):
-    """Normalized Alexander polynomial from the Fox determinant."""
+    """Normalized Alexander polynomial from the Fox determinant.
+
+    Each row is shifted so that its lowest power is t^0, which changes the
+    determinant by a unit; the sum of the row spans then bounds its degree,
+    and linalg.poly_det evaluates and interpolates it exactly.
+    """
     rows = fox_matrix(p)
     if len(rows) != p.g - 1:
         raise ValueError("presentation must have g-1 relators")
-    det = _sparse_determinant(rows)
-    q, _, _ = normalize_or_raise(det)
+    lows, spans = [], []
+    for row in rows:
+        support = [e for entry in row for e in entry.support()]
+        lows.append(min(support, default=0))
+        spans.append(max(support, default=0) - lows[-1])
+    mats = [
+        [[entry.coeff(low + k) for entry in row] for row, low in zip(rows, lows)]
+        for k in range(max(spans, default=0) + 1)
+    ]
+    coeffs = poly_det(mats, sum(spans))
+    q, _, _ = normalize_or_raise(LaurentPolynomial(dict(enumerate(coeffs))))
     return q
+
 
 
 def normalize_or_raise(poly):

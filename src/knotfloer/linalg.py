@@ -1,10 +1,14 @@
-"""Exact linear algebra: echelon bases, rank, nullspace and determinant.
+"""Exact linear algebra: echelon bases, rank, nullspace, determinants and
+the signature.
 
 This is the only module that eliminates rows.  The field picks the row
 format: over F2 a row is a Python int whose bit j is the entry in column j,
 and elimination is one XOR per step (the bitset rows of M4RI, in pure
 Python); over Q a row is a sparse dict {column: Fraction}.  Determinants of
-integer matrices are fraction-free (Bareiss 1968).
+integer matrices are fraction-free (Bareiss 1968).  A determinant of a
+matrix of integer polynomials is evaluated by Bareiss at t = 0, 1, ... and
+interpolated exactly; the signature of a symmetric matrix is read off its
+characteristic polynomial.
 
 Vectors handed to this module are either dense sequences or sparse dicts
 {index: coefficient}; each entry is coerced into the field once, when the
@@ -13,6 +17,7 @@ row is built.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -175,3 +180,67 @@ def det(m):
                 row[j] = (pivot * row[j] - f * top[j]) // prev
         prev = pivot
     return sign * a[-1][-1] if n else 1
+
+
+def interpolate(vals):
+    """Coefficients, lowest first, of the integer polynomial p of degree
+    < len(vals) with p(t) = vals[t] for t = 0, 1, ...
+
+    Newton form on the nodes 0, 1, ...: the k-th forward difference at 0
+    divided by k!, then Horner steps p <- p * (t - k) + c_k.
+    """
+    newton = []
+    diffs = list(vals)
+    for k in range(len(vals)):
+        c, r = divmod(diffs[0], math.factorial(k))
+        if r:
+            raise ArithmeticError("interpolated determinant is not integral")
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += newton[k]
+    return coeffs
+
+
+def poly_det(mats, degree):
+    """Coefficients, lowest first, of det(M_0 + t M_1 + t^2 M_2 + ...) for
+    square integer matrices mats = [M_0, M_1, ...] of one size, given a
+    bound degree on the degree of the determinant.
+
+    The matrix is evaluated at t = 0..degree one row at a time in Horner
+    form, each value is a Bareiss determinant, and interpolation recovers
+    the coefficients.
+    """
+    *low, top = mats
+    vals = []
+    for t in range(degree + 1):
+        m = []
+        for i, row in enumerate(top):
+            for mat in reversed(low):
+                row = [t * x + y for x, y in zip(row, mat[i])]
+            m.append(row)
+        vals.append(det(m))
+    return interpolate(vals)
+
+
+def signature(m):
+    """Signature of a symmetric integer matrix.
+
+    Its characteristic polynomial p(x) = det(xI - m) has only real roots,
+    so by Descartes' rule of signs the sign changes of its coefficients
+    count the positive eigenvalues exactly, and those of p(-x) the negative
+    ones.
+    """
+    n = len(m)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    p = poly_det([[[-x for x in row] for row in m], unit], n)
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(p) - changes([c if k % 2 == 0 else -c for k, c in enumerate(p)])

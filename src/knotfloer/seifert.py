@@ -3,16 +3,15 @@
 This is the second, independent route to the Alexander polynomial: braid the
 diagram by Vogel moves (type-II moves across incoherent face pairs), read a
 Seifert matrix off the braided diagram's nested Seifert circles, and return
-the normalized det(V - t V^T).  Nothing here touches the Fox-calculus path.
+the normalized det(V - t V^T), evaluated at integer points and interpolated
+by linalg.poly_det.  Nothing here touches the Fox-calculus path.
 """
 
 from __future__ import annotations
 
-import math
-
-from .diagrams import _is_arrival_slot
+from .diagrams import PDValidationError, _is_arrival_slot
 from .laurent import LaurentPolynomial
-from .linalg import det
+from .linalg import poly_det
 
 
 class BraidingError(RuntimeError):
@@ -66,8 +65,9 @@ def seifert_circles(d):
 
 
 def _find_vogel_pair(d):
-    """An (edge, edge) pair on one face, on distinct Seifert circles, both
-    traversed with (or both against) the face walk."""
+    """An (edge, edge, with_walk) triple: two edges on one face and on
+    distinct Seifert circles, both traversed with (with_walk True) or both
+    against the face walk."""
     _, circle_of, _ = seifert_circles(d)
     for walk in d.face_edge_walks():
         for k1 in range(len(walk)):
@@ -75,25 +75,16 @@ def _find_vogel_pair(d):
             for k2 in range(k1 + 1, len(walk)):
                 e2, w2 = walk[k2]
                 if w1 == w2 and circle_of[e1] != circle_of[e2]:
-                    return e1, e2
+                    return e1, e2, w1
     return None
 
 
-def _r2_push(d, e, ep):
+def _r2_push(d, e, ep, mirrored):
     """Push edge e over edge ep (anti-parallel chords of a shared face).
 
-    The poke can enter from either side of ep; exactly one side keeps the
-    diagram planar, so try both.
+    The poke can enter from either side of ep; mirrored picks the side.
+    Only one side keeps the diagram planar, and the builder validates it.
     """
-    from .diagrams import PDValidationError
-
-    try:
-        return _r2_push_side(d, e, ep, False)
-    except PDValidationError:
-        return _r2_push_side(d, e, ep, True)
-
-
-def _r2_push_side(d, e, ep, mirrored):
     from ._constructions import _Builder
 
     b = _Builder()
@@ -124,13 +115,25 @@ def _r2_push_side(d, e, ep, mirrored):
 
 
 def braid_form(d, max_moves=1000):
-    """Apply Vogel moves until the Seifert circles are coherently nested."""
+    """Apply Vogel moves until the Seifert circles are coherently nested.
+
+    A pair that runs with the face walk is pushed from the unmirrored side,
+    one that runs against it from the mirrored side; that side is the
+    planar one, so each move builds one diagram.
+    """
     cur = d
     for _ in range(max_moves):
         pair = _find_vogel_pair(cur)
         if pair is None:
             return cur
-        cur = _r2_push(cur, *pair)
+        e, ep, with_walk = pair
+        try:
+            cur = _r2_push(cur, e, ep, not with_walk)
+        except PDValidationError as exc:
+            raise BraidingError(
+                "Vogel move of edge %d over edge %d fails on PD %s: %s"
+                % (e, ep, [x.ends() for x in cur.crossings], exc)
+            ) from exc
     raise BraidingError("braiding did not terminate within %d moves" % max_moves)
 
 
@@ -232,38 +235,6 @@ def alexander_via_seifert(d):
     """Normalized Alexander polynomial from det(V - t V^T)."""
     V = seifert_matrix(d)
     n = len(V)
-    if n == 0:
-        return LaurentPolynomial.one()
-    # det(V - t V^T) is an integer polynomial of degree <= n: evaluate it at
-    # t = 0..n (exactly, by Bareiss) and interpolate
-    vals = [
-        det([[V[i][j] - t0 * V[j][i] for j in range(n)] for i in range(n)])
-        for t0 in range(n + 1)
-    ]
-    poly = LaurentPolynomial(dict(enumerate(_interpolate(vals))))
-    q, _, _ = poly.normalize_alexander()
+    coeffs = poly_det([V, [[-V[j][i] for j in range(n)] for i in range(n)]], n)
+    q, _, _ = LaurentPolynomial(dict(enumerate(coeffs))).normalize_alexander()
     return q
-
-
-def _interpolate(vals):
-    """Coefficients, lowest first, of the integer polynomial p of degree
-    < len(vals) with p(t) = vals[t] for t = 0, 1, ...
-
-    Newton form on the nodes 0, 1, ...: the k-th forward difference at 0
-    divided by k!, then Horner steps p <- p * (t - k) + c_k.
-    """
-    newton = []
-    diffs = list(vals)
-    for k in range(len(vals)):
-        c, r = divmod(diffs[0], math.factorial(k))
-        if r:
-            raise ArithmeticError("interpolated determinant is not integral")
-        newton.append(c)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs = []
-    for k in range(len(newton) - 1, -1, -1):
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= k * coeffs[i + 1]
-        coeffs[0] += newton[k]
-    return coeffs

@@ -2,7 +2,8 @@
 
 The Goeritz matrix is assembled on one color class of the faces; the
 signature of the knot is the signature of that form minus a correction term
-summed over orientation-type-II crossings.  The global sign conventions
+summed over orientation-type-II crossings.  The signature of the form and
+the determinant come from linalg.  The global sign conventions
 (which color class, which diagonal counts as +1, which corner marks type II)
 are frozen so that the positive-writhe (2,3) torus knot gets signature +2;
 see tests for the calibration suite.
@@ -10,9 +11,7 @@ see tests for the calibration suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import det
+from . import linalg
 
 
 def checkerboard(d):
@@ -44,50 +43,6 @@ def checkerboard(d):
                 elif color[f2] != want:
                     raise ValueError("faces are not checkerboard colorable")
     return color
-
-
-def _symmetric_signature(m):
-    """Exact signature of a symmetric rational matrix via congruence."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sig = 0
-    rows = list(range(n))
-    while rows:
-        # find a nonzero diagonal pivot
-        piv = None
-        for i in rows:
-            if a[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            off = None
-            for i in rows:
-                for j in rows:
-                    if i != j and a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                break  # zero block contributes nothing
-            i, j = off
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            continue
-        i = piv
-        p = a[i][i]
-        sig += 1 if p > 0 else -1
-        rows.remove(i)
-        for j in rows:
-            if a[j][i] != 0:
-                f = a[j][i] / p
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][j] -= f * a[k][i]
-    return sig
 
 
 def goeritz_data(d, white):
@@ -135,11 +90,11 @@ def signature(d, white=1):
     # delete the last row/column (faces sum to a relation)
     reduced = [row[:-1] for row in G[:-1]]
     mu = sum(eta[i] for i in range(d.n) if type2[i])
-    return _symmetric_signature(reduced) - mu
+    return linalg.signature(reduced) - mu
 
 
 def determinant(d, white=1):
     """|Delta(-1)| computed from the reduced Goeritz matrix."""
     white_faces, G, eta, type2 = goeritz_data(d, white)
     reduced = [row[:-1] for row in G[:-1]]
-    return abs(det(reduced))
+    return abs(linalg.det(reduced))

@@ -98,14 +98,13 @@ def test_granny_diagram_small_with_product_ranks(trefoil):
     assert ranks == {e: abs(c) for e, c in sq.coeffs().items()}
 
 
-@pytest.mark.parametrize("call", ["enumerate_mprs", "generator_spectrum", "_sparse_determinant"])
+@pytest.mark.parametrize("call", ["enumerate_mprs", "generator_spectrum"])
 def test_enumerations_leave_no_reference_cycles(call):
     d = table.lookup("9_2")
     p = fox.wirtinger(d)
     run = {
         "enumerate_mprs": lambda: altgen.enumerate_mprs(d, 0),
         "generator_spectrum": lambda: fox.generator_spectrum(p),
-        "_sparse_determinant": lambda: fox._sparse_determinant(fox.fox_matrix(p)),
     }[call]
     gc.collect()
     gc.disable()

@@ -95,6 +95,14 @@ def test_two_generator_trefoil_spectrum():
 def test_alexander_multiplicative(trefoil, figure8):
     s = trefoil.connected_sum(figure8)
     assert alexander(s) == alexander(trefoil) * alexander(figure8)
+    # 8_18 # 8_18 # 8_18 and the 4-fold sum: 24 and 32 crossings, where a
+    # permutation expansion of the Fox determinant no longer stays small
+    d = table.lookup("8_18")
+    s, power = d.connected_sum(d), alexander(d) * alexander(d)
+    for k in (3, 4):
+        s, power = s.connected_sum(d), power * alexander(d)
+        assert s.n == 8 * k
+        assert alexander(s) == power
 
 
 def test_spectrum_term_cap():

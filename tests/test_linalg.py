@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotfloer.filtered import FieldF2, FieldQ
-from knotfloer.linalg import det, entries, nullspace, rank
+from knotfloer.linalg import det, entries, nullspace, rank, signature
 
 
 def matrices(elements, max_rows=6, max_cols=6, square=False):
@@ -102,3 +102,98 @@ def test_f2_nullspace_over_the_columns():
     cols = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 0]]
     kernel = [sorted(j for j, _ in entries(v)) for v in nullspace(cols, FieldF2)]
     assert sorted(kernel) == [[0, 1, 2], [3]]
+
+
+def congruence_signature(m):
+    """The Fraction congruence diagonalization linalg.signature replaced,
+    kept as a reference: pivot on a nonzero diagonal entry, or first add a
+    row and column with a nonzero off-diagonal entry onto another."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sig = 0
+    rows = list(range(n))
+    while rows:
+        piv = next((i for i in rows if a[i][i] != 0), None)
+        if piv is None:
+            off = next(((i, j) for i in rows for j in rows if i != j and a[i][j] != 0), None)
+            if off is None:
+                break  # zero block contributes nothing
+            i, j = off
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            continue
+        p = a[piv][piv]
+        sig += 1 if p > 0 else -1
+        rows.remove(piv)
+        for j in rows:
+            if a[j][piv] != 0:
+                f = a[j][piv] / p
+                for k in range(n):
+                    a[j][k] -= f * a[piv][k]
+                for k in range(n):
+                    a[k][j] -= f * a[k][piv]
+    return sig
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    """Symmetric integer matrices up to max_n x max_n; some with a zero
+    diagonal, some singular by construction (B^T D B with B of rank < n)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    kind = draw(st.sampled_from(["any", "zero diagonal", "singular"]))
+    if kind == "singular" and n:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        b = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=k, max_size=k))
+        dg = draw(st.lists(small_ints, min_size=k, max_size=k))
+        return [
+            [sum(b[r][i] * dg[r] * b[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind != "zero diagonal":
+                m[i][j] = m[j][i] = draw(small_ints)
+    return m
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_signature_matches_congruence_diagonalization(m):
+    assert signature(m) == congruence_signature(m)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary integer row operations: adding a multiple of
+    one row to another, swapping two rows, negating a row."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n == 0:
+        return p
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = draw(st.integers(min_value=-3, max_value=3))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        elif op == "swap":
+            p[i], p[j] = p[j], p[i]
+        else:
+            p[i] = [-x for x in p[i]]
+    return p
+
+
+@given(symmetric_matrices().flatmap(lambda m: st.tuples(st.just(m), unimodular(len(m)))))
+@settings(max_examples=200, deadline=None)
+def test_signature_is_a_congruence_invariant(pair):
+    m, p = pair
+    n = len(m)
+    assert abs(det(p)) == 1
+    pt_m_p = [
+        [sum(p[k][i] * m[k][l] * p[l][j] for k in range(n) for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert signature(pt_m_p) == signature(m)

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 from knotfloer import table
 from knotfloer.fox import alexander
 from knotfloer.laurent import LaurentPolynomial as L
-from knotfloer.linalg import det
-from knotfloer.seifert import _interpolate, alexander_via_seifert, braid_form, seifert_circles
+from knotfloer.diagrams import PDValidationError
+from knotfloer.linalg import det, interpolate, poly_det
+from knotfloer.seifert import (
+    BraidingError,
+    _find_vogel_pair,
+    _r2_push,
+    alexander_via_seifert,
+    braid_form,
+    seifert_circles,
+)
 
 
 def test_seifert_circles_trefoil(trefoil):
@@ -48,28 +56,79 @@ def leibniz(m):
     return total
 
 
-square_int_matrices = st.integers(min_value=0, max_value=5).flatmap(
-    lambda n: st.lists(
+def square_int_matrices(n):
+    return st.lists(
         st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
+    )
+
+
+# one size n <= 5 for V and for the coefficients M_0, M_1, M_2 of a matrix
+# M_0 + t M_1 + t^2 M_2 of degree <= 2
+sized_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(
+        square_int_matrices(n), st.lists(square_int_matrices(n), min_size=1, max_size=3)
     )
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_int_matrices)
-def test_interpolated_seifert_determinant_matches_leibniz(V):
+@given(sized_matrices)
+def test_interpolated_seifert_determinant_matches_leibniz(matrices):
+    V, mats = matrices
     n = len(V)
     vals = [
         det([[V[i][j] - t0 * V[j][i] for j in range(n)] for i in range(n)])
         for t0 in range(n + 1)
     ]
     expected = leibniz([[L.t(0, V[i][j]) - L.t(1, V[j][i]) for j in range(n)] for i in range(n)])
-    assert L(dict(enumerate(_interpolate(vals)))) == expected
+    assert L(dict(enumerate(interpolate(vals)))) == expected
+    VT = [[-V[j][i] for j in range(n)] for i in range(n)]
+    assert L(dict(enumerate(poly_det([V, VT], n)))) == expected
+    entry = [[L({k: m[i][j] for k, m in enumerate(mats)}) for j in range(n)] for i in range(n)]
+    degree = (len(mats) - 1) * n
+    assert L(dict(enumerate(poly_det(mats, degree)))) == leibniz(entry)
 
 
 def test_interpolation_rejects_non_integral_values():
-    assert _interpolate([0, 1, 0]) == [0, 2, -1]
+    assert interpolate([0, 1, 0]) == [0, 2, -1]
     with pytest.raises(ArithmeticError):
-        _interpolate([0, 0, 1])  # t(t - 1)/2
+        interpolate([0, 0, 1])  # t(t - 1)/2
+
+
+def braid_form_trying_both_sides(d):
+    """The Vogel moves braid_form replaced, kept as a reference: push from
+    the unmirrored side, and from the mirrored one when that is not planar."""
+    cur = d
+    while True:
+        pair = _find_vogel_pair(cur)
+        if pair is None:
+            return cur
+        e, ep, _ = pair
+        try:
+            cur = _r2_push(cur, e, ep, False)
+        except PDValidationError:
+            cur = _r2_push(cur, e, ep, True)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_braid_form_builds_only_the_planar_side(mirror):
+    for name in table.names():
+        d = table.lookup(name)
+        if mirror:
+            d = d.mirror()
+        assert braid_form(d).crossings == braid_form_trying_both_sides(d).crossings
+
+
+@pytest.mark.parametrize("name", ["5_2", "6_1"])
+def test_vogel_move_on_the_wrong_side_is_a_braiding_error(monkeypatch, name):
+    import knotfloer.seifert as seifert
+
+    def flipped(d):
+        pair = _find_vogel_pair(d)
+        return pair and (pair[0], pair[1], not pair[2])
+
+    monkeypatch.setattr(seifert, "_find_vogel_pair", flipped)
+    with pytest.raises(BraidingError, match="Vogel move of edge"):
+        braid_form(table.lookup(name))
