@@ -293,15 +293,22 @@ class SmallnessCertificate:
     verdict: bool
     witness: tuple = None  # (MPR, component) when not small
     ranks: dict = field(default=None, hash=False)  # A -> survivors, when small
+    delta: LaurentPolynomial = None  # sum of the MPRs' sign t^exponent, when small
+
+    def __post_init__(self):
+        if self.verdict and (self.ranks is None or self.delta is None):
+            raise ValueError("a small verdict carries its ranks and Delta")
 
 
 def certify_small(d):
     """Try each crossing as c1; certify with the first all-small choice.
 
-    A small verdict records its c1's survivor ranks, so the MPRs are
-    enumerated once per c1 tried.  Each distinct tuple of marked components
-    is checked once, in enumeration order, so the witness of a diagram that
-    is not small is the first non-small component of the first MPR having one.
+    A small verdict records its c1's survivor ranks and the Alexander
+    polynomial its signed MPR spectrum was checked against, so the MPRs are
+    enumerated, and the Fox determinant taken, once per c1 tried.  Each
+    distinct tuple of marked components is checked once, in enumeration
+    order, so the witness of a diagram that is not small is the first
+    non-small component of the first MPR having one.
     """
     if not d.is_alternating():
         raise NotAlternatingError("smallness is defined for alternating diagrams")
@@ -331,7 +338,12 @@ def certify_small(d):
                 if not comps:
                     j = base.alexander_exponent
                     ranks[j] = ranks.get(j, 0) + 1
-            return SmallnessCertificate(c1=c1, verdict=True, ranks=ranks)
+            delta = {}
+            for m in mprs:
+                delta[m.alexander_exponent] = delta.get(m.alexander_exponent, 0) + m.sign
+            return SmallnessCertificate(
+                c1=c1, verdict=True, ranks=ranks, delta=LaurentPolynomial(delta)
+            )
     return SmallnessCertificate(c1=last_c1, verdict=False, witness=witness)
 
 
@@ -340,15 +352,14 @@ def reduced_ranks(d, certificate=None):
 
     Survivors are base generators with empty pools, counted by
     certify_small; the ranks must agree with the unsigned coefficients of
-    the Alexander polynomial.
+    the certificate's Alexander polynomial.
     """
     if certificate is None:
         certificate = certify_small(d)
     if not certificate.verdict:
         raise SmallnessError("diagram is not certified small")
     ranks = certificate.ranks
-    delta = alexander(d)
-    expected = {e: abs(a) for e, a in delta.coeffs().items()}
+    expected = {e: abs(a) for e, a in certificate.delta.coeffs().items()}
     if ranks != expected:
         raise ConsistencyError(
             "reduced ranks %s != |Alexander coefficients| %s" % (ranks, expected)

@@ -219,9 +219,13 @@ class KnotDiagram:
                     out[dart] = darts[1] if dart == darts[0] else darts[0]
         return MappingProxyType(out)
 
+    @cached_property
     def _walks(self):
-        """Yield, per face, its list of leaving darts, in face order."""
+        """Per face, the tuple of its leaving darts, in face order; faces()
+        and face_edge_walks() both read this one walk."""
+        partner = self._partner
         visited = set()
+        walks = []
         for start in self.darts():
             if start in visited:
                 continue
@@ -230,13 +234,15 @@ class KnotDiagram:
             while cur not in visited:
                 visited.add(cur)
                 walk.append(cur)
-                j, t = self._partner[cur]
+                j, t = partner[cur]
                 cur = (j, (t + 1) % 4)
-            yield walk
+            walks.append(tuple(walk))
+        return tuple(walks)
 
     @cached_property
     def _faces(self):
-        return tuple(tuple(self._partner[dart] for dart in walk) for walk in self._walks())
+        partner = self._partner
+        return tuple(tuple(partner[dart] for dart in walk) for walk in self._walks)
 
     def faces(self):
         """Faces of the underlying 4-valent planar map.
@@ -271,7 +277,7 @@ class KnotDiagram:
                 (self.crossings[i].ends()[s], not _is_arrival_slot(self, i, s))
                 for i, s in walk
             )
-            for walk in self._walks()
+            for walk in self._walks
         ]
 
     def is_prime_diagram(self):

@@ -1,10 +1,9 @@
 """Free-group Fox calculus over the meridian abelianization.
 
 Wirtinger presentations read off a diagram, free derivatives, abelianized
-Fox matrices, the Alexander polynomial as the Fox determinant (evaluated at
-integer points and interpolated by linalg.poly_det), and the signed
-generator spectrum obtained by expanding that determinant without ever
-combining terms.
+Fox matrices, the Alexander polynomial as the Fox determinant (exact over
+Z[t, t^-1], by linalg.poly_det), and the signed generator spectrum obtained
+by expanding that determinant without ever combining terms.
 """
 
 from __future__ import annotations
@@ -177,26 +176,15 @@ def fox_matrix(p):
 def alexander_from_presentation(p):
     """Normalized Alexander polynomial from the Fox determinant.
 
-    Each row is shifted so that its lowest power is t^0, which changes the
-    determinant by a unit; the sum of the row spans then bounds its degree,
-    and linalg.poly_det evaluates and interpolates it exactly.
+    linalg.poly_det takes the abelianized Fox matrix as it is, pivots away
+    its unit entries and evaluates and interpolates the small core left.
     """
     rows = fox_matrix(p)
     if len(rows) != p.g - 1:
         raise ValueError("presentation must have g-1 relators")
-    lows, spans = [], []
-    for row in rows:
-        support = [e for entry in row for e in entry.support()]
-        lows.append(min(support, default=0))
-        spans.append(max(support, default=0) - lows[-1])
-    mats = [
-        [[entry.coeff(low + k) for entry in row] for row, low in zip(rows, lows)]
-        for k in range(max(spans, default=0) + 1)
-    ]
-    coeffs = poly_det(mats, sum(spans))
-    q, _, _ = normalize_or_raise(LaurentPolynomial(dict(enumerate(coeffs))))
+    delta = LaurentPolynomial(poly_det([[entry.coeffs() for entry in row] for row in rows]))
+    q, _, _ = normalize_or_raise(delta)
     return q
-
 
 
 def normalize_or_raise(poly):

@@ -5,9 +5,10 @@ This is the only module that eliminates rows.  The field picks the row
 format: over F2 a row is a Python int whose bit j is the entry in column j,
 and elimination is one XOR per step (the bitset rows of M4RI, in pure
 Python); over Q a row is a sparse dict {column: Fraction}.  Determinants of
-integer matrices are fraction-free (Bareiss 1968).  A determinant of a
-matrix of integer polynomials is evaluated by Bareiss at t = 0, 1, ... and
-interpolated exactly; the signature of a symmetric matrix is read off its
+integer matrices are fraction-free (Bareiss 1968).  A determinant over
+Z[t, t^-1] first pivots away every unit entry +-t^k symbolically, then
+evaluates the small core left by Bareiss at t = 0, 1, ... and interpolates
+it exactly; the signature of a symmetric matrix is read off its
 characteristic polynomial.
 
 Vectors handed to this module are either dense sequences or sparse dicts
@@ -206,25 +207,103 @@ def interpolate(vals):
     return coeffs
 
 
-def poly_det(mats, degree):
-    """Coefficients, lowest first, of det(M_0 + t M_1 + t^2 M_2 + ...) for
-    square integer matrices mats = [M_0, M_1, ...] of one size, given a
-    bound degree on the degree of the determinant.
+def _unit(p):
+    """(k, s) when the Laurent polynomial p is s t^k with s = +-1, else None."""
+    if len(p) == 1:
+        ((k, s),) = p.items()
+        if s == 1 or s == -1:
+            return k, s
+    return None
 
-    The matrix is evaluated at t = 0..degree one row at a time in Horner
-    form, each value is a Bareiss determinant, and interpolation recovers
-    the coefficients.
+
+def poly_det(m):
+    """Exact determinant of a square matrix of Laurent polynomials over
+    Z[t, t^-1], each entry a dict {exponent: coefficient}.  Returns it as
+    such a dict: {0: 1} for a 0 x 0 matrix, {} for a singular one.
+
+    First every entry that is a unit +-t^k is pivoted away symbolically
+    (Crowell-Fox): among the unit entries the one of least Markowitz cost
+    (row nnz - 1)(col nnz - 1) is taken, the first in (row, column) index
+    order on a tie; the other rows of its column are cleared by
+    row -= (a +-t^-k) pivot_row, and the determinant gains the factor
+    (-1)^(row position + column position) +-t^k of the Laplace expansion.
+    No non-unit is ever divided by.  The core left has no unit entry: each
+    of its rows is shifted to start at t^0, the sum of the row spans then
+    bounds the degree of its determinant, which is evaluated by Bareiss at
+    t = 0..bound and recovered by interpolate.
     """
-    *low, top = mats
-    vals = []
-    for t in range(degree + 1):
-        m = []
-        for i, row in enumerate(top):
-            for mat in reversed(low):
-                row = [t * x + y for x, y in zip(row, mat[i])]
-            m.append(row)
-        vals.append(det(m))
-    return interpolate(vals)
+    rows = {}  # row index -> {column: entry}, in index order
+    cols = {j: set() for j in range(len(m))}  # column index -> its row indices
+    units = {}  # (row, column) -> (k, s) of each unit entry s t^k
+    for i, row in enumerate(m):
+        r = rows[i] = {}
+        for j, p in enumerate(row):
+            p = {e: c for e, c in p.items() if c}
+            if p:
+                r[j] = p
+                cols[j].add(i)
+                if u := _unit(p):
+                    units[i, j] = u
+    # a zero row, given or made by elimination, means det 0; a zero column
+    # needs no check: it stays zero into the core, whose det is then 0
+    if not all(rows.values()):
+        return {}
+    sign, shift = 1, 0
+
+    def markowitz(ij):
+        return (len(rows[ij[0]]) - 1) * (len(cols[ij[1]]) - 1), ij
+
+    while units:
+        pi, pj = min(units, key=markowitz)
+        k, s = units.pop((pi, pj))
+        if (sum(i < pi for i in rows) + sum(j < pj for j in cols)) & 1:
+            sign = -sign
+        sign *= s
+        shift += k
+        prow = rows.pop(pi)
+        del prow[pj]
+        for j in prow:
+            cols[j].discard(pi)
+            units.pop((pi, j), None)
+        for i in cols.pop(pj) - {pi}:
+            r = rows[i]
+            units.pop((i, pj), None)
+            # r += f * prow with f = -a (s t^-k), which clears column pj
+            f = [(e - k, -s * c) for e, c in r.pop(pj).items()]
+            for j, q in prow.items():
+                p = r.get(j)
+                if p is None:
+                    p = r[j] = {}
+                    cols[j].add(i)
+                for e2, c2 in q.items():
+                    for e1, c1 in f:
+                        e = e1 + e2
+                        c = p.get(e, 0) + c1 * c2
+                        if c:
+                            p[e] = c
+                        else:
+                            del p[e]
+                if u := _unit(p):
+                    units[i, j] = u
+                else:
+                    units.pop((i, j), None)
+                    if not p:
+                        del r[j]
+                        cols[j].discard(i)
+            if not r:
+                return {}
+    order = sorted(cols)
+    core, bound = [], 0
+    for r in rows.values():
+        low = min(min(p) for p in r.values())
+        shift += low
+        bound += max(max(p) for p in r.values()) - low
+        core.append([[(e - low, c) for e, c in r[j].items()] if j in r else () for j in order])
+    vals = [
+        det([[sum(c * t**e for e, c in p) for p in row] for row in core])
+        for t in range(bound + 1)
+    ]
+    return {e + shift: sign * c for e, c in enumerate(interpolate(vals)) if c}
 
 
 def signature(m):
@@ -235,12 +314,13 @@ def signature(m):
     count the positive eigenvalues exactly, and those of p(-x) the negative
     ones.
     """
-    n = len(m)
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    p = poly_det([[[-x for x in row] for row in m], unit], n)
+    p = sorted(
+        poly_det([[{0: -x, 1: int(i == j)} for j, x in enumerate(row)] for i, row in enumerate(m)])
+        .items()
+    )
 
     def changes(coeffs):
-        signs = [c > 0 for c in coeffs if c]
+        signs = [c > 0 for c in coeffs]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return changes(p) - changes([c if k % 2 == 0 else -c for k, c in enumerate(p)])
+    return changes(c for _, c in p) - changes(-c if e & 1 else c for e, c in p)

@@ -3,8 +3,10 @@
 This is the second, independent route to the Alexander polynomial: braid the
 diagram by Vogel moves (type-II moves across incoherent face pairs), read a
 Seifert matrix off the braided diagram's nested Seifert circles, and return
-the normalized det(V - t V^T), evaluated at integer points and interpolated
-by linalg.poly_det.  Nothing here touches the Fox-calculus path.
+the normalized det(V - t V^T) from linalg.poly_det, which pivots away the
+unit entries of the pencil (most of them, since Vogel's moves add many
++-1 bands) before it interpolates the small core left.  Nothing here
+touches the Fox-calculus path.
 """
 
 from __future__ import annotations
@@ -234,7 +236,6 @@ def seifert_matrix(d):
 def alexander_via_seifert(d):
     """Normalized Alexander polynomial from det(V - t V^T)."""
     V = seifert_matrix(d)
-    n = len(V)
-    coeffs = poly_det([V, [[-V[j][i] for j in range(n)] for i in range(n)]], n)
-    q, _, _ = LaurentPolynomial(dict(enumerate(coeffs))).normalize_alexander()
+    pencil = [[{0: x, 1: -V[j][i]} for j, x in enumerate(row)] for i, row in enumerate(V)]
+    q, _, _ = LaurentPolynomial(poly_det(pencil)).normalize_alexander()
     return q

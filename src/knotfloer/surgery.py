@@ -248,16 +248,17 @@ def perfect_input(ranks, s, delta, field="F2"):
 def input_from_alternating(d, field="F2", certificate=None):
     """KnotFloerInput of a small alternating diagram: ranks from the marked
     partial resolutions (those recorded by `certificate` when given), level
-    from half the signature."""
+    from half the signature, Alexander polynomial from the certificate."""
     from . import altgen
-    from .fox import alexander
     from .signature import signature
 
+    if certificate is None:
+        certificate = altgen.certify_small(d)
     ranks = altgen.reduced_ranks(d, certificate)
     sig = signature(d)
     if sig % 2 != 0:
         raise SurgeryConsistencyError("odd signature")
-    return perfect_input(ranks, sig // 2, alexander(d), field)
+    return perfect_input(ranks, sig // 2, certificate.delta, field)
 
 
 def input_from_tensor(in1, in2):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import pytest
@@ -211,3 +212,26 @@ def test_mpr_fields_and_pool_checks(figure8):
     m = next(m for m in ms if m.marked_components == (first,))
     with pytest.raises(altgen.ConsistencyError, match="share a crossing"):
         altgen.pools(figure8, 0, ms + [m._replace(marked_components=(second,))])
+
+
+def test_one_alexander_per_c1_tried(monkeypatch):
+    """certify_small keeps the Delta its MPR spectrum was checked against,
+    so certifying and reading the ranks takes one Fox determinant per c1."""
+    d = table.lookup("7_4")
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return alexander(d)
+
+    monkeypatch.setattr(altgen, "alexander", counted)
+    cert = altgen.certify_small(d)
+    assert cert.delta == alexander(d)
+    assert altgen.reduced_ranks(d, cert) == cert.ranks
+    assert len(calls) == cert.c1 + 1
+    tampered = dict(cert.ranks)
+    tampered[max(tampered)] += 1
+    with pytest.raises(altgen.ConsistencyError):
+        altgen.reduced_ranks(d, dataclasses.replace(cert, ranks=tampered))
+    with pytest.raises(ValueError):
+        dataclasses.replace(cert, delta=None)

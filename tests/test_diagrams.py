@@ -109,12 +109,18 @@ def test_cached_views_are_read_only_and_keep_equality():
         arc_of[1] = -1
     with pytest.raises(TypeError):
         d._arrivals[1] = (0, "under")
-    d.is_alternating(), d.departure(1), d.face_edge_walks(), d.over_in_out(0)
+    walks = d.face_edge_walks()
+    d.is_alternating(), d.departure(1), d.over_in_out(0)
     # repeated calls hand out the same objects, unchanged
     assert d.faces() is faces and d.arc_of_edge() is arc_of
     assert hash(d) == before and d == twin and twin == d
     assert faces == KnotDiagram(d.crossings).faces()
+    # faces() and face_edge_walks() share one walk; neither call changes the other
+    assert d.face_edge_walks() == walks
+    fresh = KnotDiagram(d.crossings)
+    assert fresh.face_edge_walks() == walks and fresh.faces() == faces
     with pytest.raises(KeyError):
         d.arrival(d.n_edges + 1)
     with pytest.raises(KeyError):
         d.departure(0)
+

@@ -16,6 +16,7 @@ from knotfloer.fox import (
     word_mul,
 )
 from knotfloer.laurent import LaurentPolynomial as L
+from knotfloer.seifert import alexander_via_seifert
 
 
 def test_fox_axioms():
@@ -96,13 +97,16 @@ def test_alexander_multiplicative(trefoil, figure8):
     s = trefoil.connected_sum(figure8)
     assert alexander(s) == alexander(trefoil) * alexander(figure8)
     # 8_18 # 8_18 # 8_18 and the 4-fold sum: 24 and 32 crossings, where a
-    # permutation expansion of the Fox determinant no longer stays small
+    # permutation expansion of the Fox determinant no longer stays small;
+    # the 3-fold sum also through the Seifert route
     d = table.lookup("8_18")
     s, power = d.connected_sum(d), alexander(d) * alexander(d)
     for k in (3, 4):
         s, power = s.connected_sum(d), power * alexander(d)
         assert s.n == 8 * k
         assert alexander(s) == power
+        if k == 3:
+            assert alexander_via_seifert(s) == power
 
 
 def test_spectrum_term_cap():

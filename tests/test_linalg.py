@@ -1,11 +1,17 @@
+import copy
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotfloer import table
 from knotfloer.filtered import FieldF2, FieldQ
-from knotfloer.linalg import det, entries, nullspace, rank, signature
+from knotfloer.fox import fox_matrix, wirtinger
+from knotfloer.laurent import LaurentPolynomial as L
+from knotfloer.linalg import det, entries, interpolate, nullspace, poly_det, rank, signature
+from knotfloer.seifert import seifert_matrix
 
 
 def matrices(elements, max_rows=6, max_cols=6, square=False):
@@ -28,12 +34,15 @@ def transpose(m, ncols):
     return [[row[j] for row in m] for j in range(ncols)]
 
 
+def inversions(perm):
+    return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+
+
 def leibniz(m):
     n = len(m)
     total = 0
     for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = -1 if inversions % 2 else 1
+        term = -1 if inversions(perm) % 2 else 1
         for i in range(n):
             term *= m[i][perm[i]]
         total += term
@@ -197,3 +206,120 @@ def test_signature_is_a_congruence_invariant(pair):
         for i in range(n)
     ]
     assert signature(pt_m_p) == signature(m)
+
+
+# -- determinants over Z[t, t^-1] ---------------------------------------------
+#
+# poly_det is exact, not "up to +-t^k": every comparison below is of the
+# coefficient dicts themselves, never of normalized polynomials, which would
+# hide a sign or a power of t.
+
+
+def laurent_leibniz(m):
+    n = len(m)
+    total = L.zero()
+    for perm in permutations(range(n)):
+        term = L.t(0, -1 if inversions(perm) % 2 else 1)
+        for i in range(n):
+            if not any(m[i][perm[i]].values()):
+                break
+            term = term * L(m[i][perm[i]])
+        else:
+            total = total + term
+    return total.coeffs()
+
+
+exponents = st.integers(min_value=-3, max_value=3)
+nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+units = st.builds(lambda k, s: {k: s}, exponents, st.sampled_from([1, -1]))
+any_entries = st.dictionaries(exponents, st.integers(min_value=-3, max_value=3), max_size=3)
+# zero, one term with |coefficient| >= 2, or at least two terms
+non_units = st.one_of(
+    st.just({}),
+    st.builds(lambda k, c: {k: c}, exponents, st.sampled_from([2, -2, 3, -3])),
+    st.dictionaries(exponents, nonzero, min_size=2, max_size=3),
+)
+
+
+@st.composite
+def laurent_matrices(draw, max_n=6):
+    """Square matrices of Laurent dicts up to max_n x max_n: rich in unit
+    entries +-t^k, free of them (the core is the whole matrix), or singular
+    (one row a Laurent combination of the others, or zero)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    kind = draw(st.sampled_from(["units", "no units", "singular"]))
+    cell = non_units if kind == "no units" else st.one_of(units, units, any_entries)
+    m = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n:
+        r = draw(st.integers(min_value=0, max_value=n - 1))
+        row = [L.zero()] * n
+        for i in range(n):
+            if i != r:
+                f = L(draw(any_entries))
+                row = [a + f * L(p) for a, p in zip(row, m[i])]
+        m[r] = [p.coeffs() for p in row]
+    return m
+
+
+@given(laurent_matrices())
+@settings(max_examples=300, deadline=None)
+def test_poly_det_is_the_laurent_leibniz_expansion(m):
+    before = copy.deepcopy(m)
+    assert poly_det(m) == laurent_leibniz(m)
+    assert m == before
+
+
+def test_poly_det_edge_cases():
+    assert poly_det([]) == {0: 1}
+    assert poly_det([[{-2: -1}]]) == {-2: -1}
+    assert poly_det([[{0: 1, 1: 2}, {0: 0}], [{}, {3: 0}]]) == {}  # zero row
+    assert poly_det([[{0: 2}, {}], [{1: 3}, {}]]) == {}  # zero column
+    # the unit t at (0, 1), an odd position, then the 1 x 1 core 1
+    assert poly_det([[{0: 2, 1: 1}, {1: 1}], [{-1: -1}, {0: 5}]]) == {0: 11, 1: 5}
+
+
+def poly_det_every_point(mats, degree):
+    """The evaluate-every-point poly_det that unit pivoting replaced, kept
+    as a reference: the coefficients, lowest first, of
+    det(M_0 + t M_1 + ...) from Bareiss at t = 0..degree and interpolation."""
+    *low, top = mats
+    vals = []
+    for t in range(degree + 1):
+        m = []
+        for i, row in enumerate(top):
+            for mat in reversed(low):
+                row = [t * x + y for x, y in zip(row, mat[i])]
+            m.append(row)
+        vals.append(det(m))
+    return interpolate(vals)
+
+
+def laurent_det_every_point(m):
+    """Exact det of a Laurent matrix the way the Fox route took it before:
+    shift each row to start at t^0, bound the degree by the sum of the row
+    spans, evaluate at every point, and shift back."""
+    lows, spans = [], []
+    for row in m:
+        support = [e for p in row for e, c in p.items() if c]
+        lows.append(min(support, default=0))
+        spans.append(max(support, default=0) - lows[-1])
+    mats = [
+        [[p.get(low + k, 0) for p in row] for row, low in zip(m, lows)]
+        for k in range(max(spans, default=0) + 1)
+    ]
+    coeffs = poly_det_every_point(mats, sum(spans))
+    return {e + sum(lows): c for e, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_poly_det_matches_every_point_evaluation_on_the_table(mirror):
+    for name in table.names():
+        d = table.lookup(name)
+        if mirror:
+            d = d.mirror()
+        V = seifert_matrix(d)
+        pencil = [[{0: x, 1: -V[j][i]} for j, x in enumerate(row)] for i, row in enumerate(V)]
+        fox = [[entry.coeffs() for entry in row] for row in fox_matrix(wirtinger(d))]
+        for m in (pencil, fox):
+            got = poly_det(m)
+            assert got and got == laurent_det_every_point(m)

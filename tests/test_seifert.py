@@ -84,11 +84,10 @@ def test_interpolated_seifert_determinant_matches_leibniz(matrices):
     ]
     expected = leibniz([[L.t(0, V[i][j]) - L.t(1, V[j][i]) for j in range(n)] for i in range(n)])
     assert L(dict(enumerate(interpolate(vals)))) == expected
-    VT = [[-V[j][i] for j in range(n)] for i in range(n)]
-    assert L(dict(enumerate(poly_det([V, VT], n)))) == expected
-    entry = [[L({k: m[i][j] for k, m in enumerate(mats)}) for j in range(n)] for i in range(n)]
-    degree = (len(mats) - 1) * n
-    assert L(dict(enumerate(poly_det(mats, degree)))) == leibniz(entry)
+    pencil = [[{0: V[i][j], 1: -V[j][i]} for j in range(n)] for i in range(n)]
+    assert L(poly_det(pencil)) == expected
+    entry = [[{k: m[i][j] for k, m in enumerate(mats)} for j in range(n)] for i in range(n)]
+    assert L(poly_det(entry)) == leibniz([[L(p) for p in row] for row in entry])
 
 
 def test_interpolation_rejects_non_integral_values():
