@@ -8,16 +8,32 @@ the normalized Alexander polynomial.  The generator set is enumerated as the
 uncombined expansion of the Fox determinant that drops c1's relator and the
 column of the arc passing over c1; the letter dictionary below converts each
 monomial choice into its diagram presentation.
+
+enumerate_mprs and pools build every MPR and are the reference.  Smallness
+is certified without them: an MPR is a resolved sub-assignment R (a disjoint
+union of cycles of 'in'/'out' letters) with a free sign on every other
+crossing, so certify_small expands only the R and reads the spectrum, the
+verdict, the pools and the survivor ranks off them and off bitsets over the
+2^(n-1) base generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from operator import getitem
 from typing import NamedTuple
 
-from .fox import alexander, expand_letters
-from .laurent import LaurentPolynomial
+from .fox import SpectrumResourceError, alexander, expand_letters
+from .laurent import LaurentPolynomial, NormalizationError
+
+# Size caps of certify_small.  A certificate keeps one bitset of 2^(n-1)
+# bits, one bit per base generator, per crossing (256 KiB each at the cap
+# of 22 crossings), and expands at most MAX_RESOLVED resolved
+# sub-assignments at one c1; the table's most is 34 (9_1), a 17-crossing
+# pretzel's about 1,060.
+MAX_CERTIFY_CROSSINGS = 22
+MAX_RESOLVED = 100_000
 
 
 class NotAlternatingError(ValueError):
@@ -30,6 +46,10 @@ class SmallnessError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Signed spectrum fails to reproduce the Alexander polynomial."""
+
+
+class CertificationResourceError(SpectrumResourceError):
+    """certify_small past MAX_CERTIFY_CROSSINGS or MAX_RESOLVED."""
 
 
 TAGS = ("+", "-", "in", "out")
@@ -103,26 +123,12 @@ def enumerate_mprs(d, c1):
     total = {}
     for _, e, s in leaves:
         total[e] = total.get(e, 0) + s
-    delta = alexander(d)
-    try:
-        check, shift, flip = LaurentPolynomial(total).normalize_alexander()
-    except Exception as exc:
-        raise ConsistencyError("spectrum does not normalize: %s" % exc)
-    if check != delta:
-        raise ConsistencyError(
-            "signed MPR spectrum %s != Alexander polynomial %s"
-            % (check.to_text(), delta.to_text())
-        )
-    # per crossing, per option: tag, base tag and resolved code (bit i for a
-    # crossing i resolved, bit n + i more when it is resolved 'out'); c1 has
-    # the one option None
-    n = d.n
+    _, shift, flip = _check_spectrum(total, alexander(d))
+    # per crossing, per option: tag, base tag and resolved code; c1 has the
+    # one option None
     tags = [(None,) if row is None else tuple(opt[0] for opt in row) for row in rows]
     bases = [tuple(BASE_TAG.get(t) for t in row) for row in tags]
-    codes = [
-        tuple((1 << i | 1 << (n + i)) if t == "out" else (1 << i) if t == "in" else 0 for t in row)
-        for i, row in enumerate(tags)
-    ]
+    codes = _resolved_codes(tags)
     components = {}  # resolved code -> (resolved crossings, marked components)
     out = []
     for picks, e, s in leaves:
@@ -142,6 +148,34 @@ def enumerate_mprs(d, c1):
             )
         )
     return out
+
+
+def _check_spectrum(total, delta):
+    """(Delta, shift, sign flip) normalizing the signed spectrum {e: sum}.
+
+    Raises ConsistencyError unless it normalizes to delta.
+    """
+    try:
+        check, shift, flip = LaurentPolynomial(total).normalize_alexander()
+    except NormalizationError as exc:
+        raise ConsistencyError("spectrum does not normalize: %s" % exc) from exc
+    if check != delta:
+        raise ConsistencyError(
+            "signed MPR spectrum %s != Alexander polynomial %s"
+            % (check.to_text(), delta.to_text())
+        )
+    return check, shift, flip
+
+
+def _resolved_codes(tags):
+    """Per crossing, per tag: bit i for crossing i resolved, bit n + i more
+    when it is resolved 'out'; the code of a resolved sub-assignment is the
+    sum over crossings."""
+    n = len(tags)
+    return [
+        tuple((1 << i | 1 << (n + i)) if t == "out" else (1 << i) if t == "in" else 0 for t in row)
+        for i, row in enumerate(tags)
+    ]
 
 
 def _marked_components(d, arc_of, over, code):
@@ -303,48 +337,162 @@ class SmallnessCertificate:
 def certify_small(d):
     """Try each crossing as c1; certify with the first all-small choice.
 
-    A small verdict records its c1's survivor ranks and the Alexander
-    polynomial its signed MPR spectrum was checked against, so the MPRs are
-    enumerated, and the Fox determinant taken, once per c1 tried.  Each
-    distinct tuple of marked components is checked once, in enumeration
-    order, so the witness of a diagram that is not small is the first
-    non-small component of the first MPR having one.
+    The Fox determinant is taken once per call and every c1 tried is checked
+    against it by certify_at.  The witness of a diagram that is not small
+    comes from the last c1 tried.
+    """
+    prep = _prepare(d)
+    cache = {}
+    for c1 in range(d.n):
+        cert = _certify_at(d, c1, prep, cache)
+        if cert.verdict:
+            return cert
+    return cert
+
+
+def certify_at(d, c1):
+    """The smallness certificate of (d, c1) alone.
+
+    Small: every marked component at c1 is small; the certificate carries
+    the survivor ranks and Delta.  Not small: it carries the first MPR, in
+    enumerate_mprs order, having a non-small marked component, with that
+    component.
+    """
+    if not 0 <= c1 < d.n:
+        raise ValueError("invalid distinguished crossing %r" % (c1,))
+    return _certify_at(d, c1, _prepare(d), {})
+
+
+def _prepare(d):
+    """(arc_of, over, Delta, minus bitsets) shared by every c1 of d.
+
+    The base generators at c1 are the 2^(n-1) sign choices on the other
+    crossings; bit b of a base bitset stands for the base whose k-th other
+    crossing is '-' exactly when b has bit k.  minus[k] is the bitset of the
+    bases with '-' at the k-th other crossing.  The crossing cap is checked
+    before anything is built.
     """
     if not d.is_alternating():
         raise NotAlternatingError("smallness is defined for alternating diagrams")
-    witness = None
-    last_c1 = 0
-    cache = {}
-    for c1 in range(d.n):
-        last_c1 = c1
-        ok = True
-        mprs = enumerate_mprs(d, c1)
-        checked = set()  # component tuples found all small
-        for m in mprs:
-            comps = m.marked_components
-            if not comps or comps in checked:
-                continue
+    if d.n > MAX_CERTIFY_CROSSINGS:
+        raise CertificationResourceError(
+            "%d crossings exceed MAX_CERTIFY_CROSSINGS = %d" % (d.n, MAX_CERTIFY_CROSSINGS)
+        )
+    arc_of = d.arc_of_edge()
+    over = [arc_of[d.over_in_out(i)[0]] for i in range(d.n)]
+    size = 1 << (d.n - 1)
+    minus = []
+    for k in range(d.n - 1):
+        width = 1 << k
+        mask = ((1 << width) - 1) << width  # one period: width '+' bases, width '-'
+        period = 2 * width
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        minus.append(mask)
+    return arc_of, over, alexander(d), minus
+
+
+def _certify_at(d, c1, prep, cache):
+    """certify_at from the resolved sub-assignments R of (d, c1).
+
+    An MPR is R with a free sign on every other crossing, '+' or '-' in the
+    over-arc's column, so expand_letters runs on rows whose one 'free'
+    letter is the '+' letter; its leaves are the R, in the order of each R's
+    first MPR in enumerate_mprs.  From them:
+
+    - Delta: sum over R of sign t^e prod over free i of (1 - t^delta_i),
+      delta_i the exponent of crossing i's '-' letter, must normalize to
+      the Alexander polynomial;
+    - verdict: the marked components of each R are checked small in leaf
+      order; the witness is R with '+' on its free crossings;
+    - pools: every component of an R is itself a one-cycle R, and two
+      one-cycle R whose components share a crossing cover disjoint bases;
+    - ranks: the bases covered by no one-cycle R survive, counted per
+      Alexander grading.
+    """
+    arc_of, over, delta, minus = prep
+    n = d.n
+    rows, _ = _letters(d, c1, arc_of, over)
+    order = [i for i in range(n) if i != c1]
+    merged = [[opt for opt in rows[i] if opt[0] != "-"] for i in order]
+    try:
+        leaves = expand_letters([[opt[1:] for opt in row] for row in merged], MAX_RESOLVED)
+    except SpectrumResourceError as exc:
+        raise CertificationResourceError(
+            "more than MAX_RESOLVED = %d resolved sub-assignments at c1 = %d"
+            % (MAX_RESOLVED, c1)
+        ) from exc
+    # per row: the exponent of its '-' letter, and whether each letter is free
+    drops = [next((opt[2] for opt in rows[i] if opt[0] == "-"), 0) for i in order]
+    frees = [tuple(opt[0] == "+" for opt in row) for row in merged]
+    if any(abs(x) != 1 for x in drops):
+        raise ConsistencyError("a '-' letter moves the Alexander grading by %s" % (drops,))
+
+    total = {}
+    for picks, e, s in leaves:
+        # prod (1 - t^delta_i) = (-1)^q t^-q (1 - t)^m over m free rows, q with delta_i = -1
+        m = q = 0
+        for k, pick in enumerate(picks):
+            if frees[k][pick]:
+                m += 1
+                q += drops[k] < 0
+        s = -s if q & 1 else s
+        for j in range(m + 1):
+            total[e - q + j] = total.get(e - q + j, 0) + (-s if j & 1 else s) * comb(m, j)
+    check, shift, flip = _check_spectrum(total, delta)
+
+    # per crossing, per merged letter: tag and resolved code; c1 has the one
+    # option None
+    tags = [(None,)] * n
+    for i, row in zip(order, merged):
+        tags[i] = tuple(opt[0] for opt in row)
+    codes = _resolved_codes(tags)
+    bit = {i: k for k, i in enumerate(order)}
+    full = (1 << (1 << (n - 1))) - 1
+    singles = {}  # one-cycle component -> (crossings on it, bases it covers)
+    many = []  # components of the R with two cycles or more
+    checked = set()  # component tuples found all small
+    for picks, e, s in leaves:
+        picks = picks[:c1] + (0,) + picks[c1:]  # c1 takes its one option
+        code = sum(map(getitem, codes, picks))
+        resolved, comps = _marked_components(d, arc_of, over, code)
+        if comps and comps not in checked:
             for comp in comps:
                 if not component_is_small(d, comp, cache):
-                    witness = (m, comp)
-                    ok = False
-                    break
-            if not ok:
-                break
+                    assignment = tuple(map(getitem, tags, picks))
+                    base = tuple(BASE_TAG.get(t) for t in assignment)
+                    mpr = MPR(assignment, e + shift, s * flip, comps, base, resolved)
+                    return SmallnessCertificate(c1=c1, verdict=False, witness=(mpr, comp))
             checked.add(comps)
-        if ok:
-            ranks = {}
-            for base, comps, _ in pools(d, c1, mprs).values():
-                if not comps:
-                    j = base.alexander_exponent
-                    ranks[j] = ranks.get(j, 0) + 1
-            delta = {}
-            for m in mprs:
-                delta[m.alexander_exponent] = delta.get(m.alexander_exponent, 0) + m.sign
-            return SmallnessCertificate(
-                c1=c1, verdict=True, ranks=ranks, delta=LaurentPolynomial(delta)
-            )
-    return SmallnessCertificate(c1=last_c1, verdict=False, witness=witness)
+        if len(comps) == 1:
+            covered = full
+            for i in resolved:
+                covered &= minus[bit[i]] if code >> (n + i) & 1 == 0 else full ^ minus[bit[i]]
+            singles[comps[0]] = (_component_crossings(d, comps[0]), covered)
+        elif comps:
+            many.append(comps)
+
+    if any(comp not in singles for comps in many for comp in comps):
+        raise ConsistencyError("a marked component is not a resolved sub-assignment alone")
+    covered = 0
+    cycles = list(singles.values())
+    for k, (crossings, bases) in enumerate(cycles):
+        for other, other_bases in cycles[k + 1 :]:
+            if crossings & other and bases & other_bases:
+                raise ConsistencyError("pool components share a crossing")
+        covered |= bases
+    # survivors per grading: split by each crossing's sign, '-' moving A by delta_i
+    classes = {shift: full ^ covered}
+    for k, mask in enumerate(minus):
+        split = {}
+        for a, bases in classes.items():
+            for key, part in ((a, bases & ~mask), (a + drops[k], bases & mask)):
+                if part:
+                    split[key] = split.get(key, 0) | part
+        classes = split
+    ranks = {a: bases.bit_count() for a, bases in classes.items() if bases}
+    return SmallnessCertificate(c1=c1, verdict=True, ranks=ranks, delta=check)
 
 
 def reduced_ranks(d, certificate=None):

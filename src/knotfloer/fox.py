@@ -156,21 +156,53 @@ def wirtinger(d):
     return p
 
 
+def _fox_letters(p):
+    """Per relator, its Fox letters (column, exponent, sign) in word order.
+
+    d/dx_i of a relator has one term per appearance of x_i^+-1 (i < g-1;
+    the last generator's column is dropped): the prefix before x_i, or the
+    prefix through x_i^-1 with sign -1.  Abelianized, a prefix is t to its
+    exponent sum, so a letter is read from the running exponent sum alone.
+    """
+    letters = []
+    for rel in p.relators:
+        row = []
+        prefix_exp = 0
+        for g, e in rel:
+            if g < p.g - 1:
+                if e == 1:
+                    row.append((g, prefix_exp, 1))
+                else:
+                    row.append((g, prefix_exp + e, -1))
+            prefix_exp += e
+        letters.append(row)
+    return letters
+
+
+def _fox_entries(p):
+    """Abelianized Fox matrix as rows of sparse {exponent: int} entries."""
+    rows = []
+    for letters in _fox_letters(p):
+        row = [{} for _ in range(p.g - 1)]
+        for col, e, s in letters:
+            entry = row[col]
+            c = entry.get(e, 0) + s
+            if c:
+                entry[e] = c
+            else:
+                del entry[e]
+        rows.append(row)
+    return rows
+
+
 def fox_matrix(p):
     """Abelianized Fox matrix, dropping the last generator column.
 
-    Entry [j][i] is the Laurent polynomial of d_{x_i} w_j for i < g-1.  Only
-    the generators occurring in w_j are differentiated; every other entry is
-    one shared zero polynomial.
+    Entry [j][i] is the Laurent polynomial of d_{x_i} w_j for i < g-1, summed
+    from the relator's Fox letters; it equals abelianize(fox_derivative(w_j,
+    x_i)).
     """
-    zero = LaurentPolynomial.zero()
-    rows = []
-    for rel in p.relators:
-        row = [zero] * (p.g - 1)
-        for i in {g for g, _ in rel if g < p.g - 1}:
-            row[i] = abelianize(fox_derivative(rel, i))
-        rows.append(row)
-    return rows
+    return [[LaurentPolynomial(entry) for entry in row] for row in _fox_entries(p)]
 
 
 def alexander_from_presentation(p):
@@ -179,10 +211,9 @@ def alexander_from_presentation(p):
     linalg.poly_det takes the abelianized Fox matrix as it is, pivots away
     its unit entries and evaluates and interpolates the small core left.
     """
-    rows = fox_matrix(p)
-    if len(rows) != p.g - 1:
+    if len(p.relators) != p.g - 1:
         raise ValueError("presentation must have g-1 relators")
-    delta = LaurentPolynomial(poly_det([[entry.coeffs() for entry in row] for row in rows]))
+    delta = LaurentPolynomial(poly_det(_fox_entries(p)))
     q, _, _ = normalize_or_raise(delta)
     return q
 
@@ -243,20 +274,7 @@ def generator_spectrum(p, term_cap=10**8):
     """
     if len(p.relators) != p.g - 1:
         raise ValueError("presentation must have g-1 relators")
-    # per row: (column, exponent, sign) letter-monomials of the Fox derivative
-    letters = []
-    for rel in p.relators:
-        row = []
-        prefix_exp = 0
-        for g, e in rel:
-            if g < p.g - 1:
-                if e == 1:
-                    row.append((g, prefix_exp, 1))
-                else:
-                    row.append((g, prefix_exp + e, -1))
-            prefix_exp += e
-        letters.append(row)
-    spectrum = [(e, s) for _, e, s in expand_letters(letters, term_cap)]
+    spectrum = [(e, s) for _, e, s in expand_letters(_fox_letters(p), term_cap)]
     raw = {}
     for e, s in spectrum:
         raw[e] = raw.get(e, 0) + s

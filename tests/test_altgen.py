@@ -4,6 +4,7 @@ import gc
 import pytest
 
 from knotfloer import altgen, fox, surgery, table
+from knotfloer._constructions import pretzel_knot
 from knotfloer.diagrams import parse_pd
 from knotfloer.fox import alexander
 from knotfloer.laurent import LaurentPolynomial as L
@@ -116,22 +117,28 @@ def test_enumerations_leave_no_reference_cycles(call):
         gc.enable()
 
 
-def test_mprs_enumerated_once_per_c1_tried(monkeypatch):
+def test_certification_enumerates_no_mprs(monkeypatch):
     d = table.lookup("7_4")
     cert = altgen.certify_small(d)
     calls = []
-    enumerate_mprs = altgen.enumerate_mprs
+    certify_at = altgen._certify_at
 
-    def counted(d, c1):
+    def counted(d, c1, prep, cache):
         calls.append(c1)
-        return enumerate_mprs(d, c1)
+        return certify_at(d, c1, prep, cache)
 
-    monkeypatch.setattr(altgen, "enumerate_mprs", counted)
+    def forbidden(*args):
+        raise AssertionError("certification built MPRs")
+
+    monkeypatch.setattr(altgen, "_certify_at", counted)
+    monkeypatch.setattr(altgen, "enumerate_mprs", forbidden)
+    monkeypatch.setattr(altgen, "pools", forbidden)
     inp = surgery.input_from_alternating(d)
     assert calls == list(range(cert.c1 + 1))
     assert surgery.input_from_alternating(d, certificate=cert).cfr == inp.cfr
     assert altgen.reduced_ranks(d, cert) == cert.ranks
     assert calls == list(range(cert.c1 + 1))
+    assert not altgen.certify_small(table.lookup("10_123")).verdict
 
 
 def reference_mprs(d, c1):
@@ -214,10 +221,12 @@ def test_mpr_fields_and_pool_checks(figure8):
         altgen.pools(figure8, 0, ms + [m._replace(marked_components=(second,))])
 
 
-def test_one_alexander_per_c1_tried(monkeypatch):
-    """certify_small keeps the Delta its MPR spectrum was checked against,
-    so certifying and reading the ranks takes one Fox determinant per c1."""
-    d = table.lookup("7_4")
+@pytest.mark.parametrize("name", ["7_4", "10_123"])
+def test_one_alexander_per_certificate(monkeypatch, name):
+    """certify_small takes the Fox determinant once, however many c1 it
+    tries (10_123 tries all 10), and keeps it as the certificate's Delta,
+    so reading the ranks takes none more."""
+    d = table.lookup(name)
     calls = []
 
     def counted(d):
@@ -226,12 +235,128 @@ def test_one_alexander_per_c1_tried(monkeypatch):
 
     monkeypatch.setattr(altgen, "alexander", counted)
     cert = altgen.certify_small(d)
+    assert len(calls) == 1
+    if not cert.verdict:
+        assert cert.c1 == d.n - 1
+        return
     assert cert.delta == alexander(d)
     assert altgen.reduced_ranks(d, cert) == cert.ranks
-    assert len(calls) == cert.c1 + 1
+    assert len(calls) == 1
     tampered = dict(cert.ranks)
     tampered[max(tampered)] += 1
     with pytest.raises(altgen.ConsistencyError):
         altgen.reduced_ranks(d, dataclasses.replace(cert, ranks=tampered))
     with pytest.raises(ValueError):
         dataclasses.replace(cert, delta=None)
+
+
+# -- the certificate against enumerate_mprs and pools -------------------------
+
+
+def reference_certificate(d, c1):
+    """The certificate at c1 read off every MPR, as certify_small did before
+    it derived certificates from resolved sub-assignments: components
+    checked in MPR order, survivors counted over pools, Delta summed over
+    the MPRs."""
+    mprs = altgen.enumerate_mprs(d, c1)
+    checked, small = set(), {}
+    for m in mprs:
+        if not m.marked_components or m.marked_components in checked:
+            continue
+        for comp in m.marked_components:
+            if not altgen.component_is_small(d, comp, small):
+                return altgen.SmallnessCertificate(c1=c1, verdict=False, witness=(m, comp))
+        checked.add(m.marked_components)
+    ranks, delta = {}, {}
+    for base, comps, _ in altgen.pools(d, c1, mprs).values():
+        if not comps:
+            ranks[base.alexander_exponent] = ranks.get(base.alexander_exponent, 0) + 1
+    for m in mprs:
+        delta[m.alexander_exponent] = delta.get(m.alexander_exponent, 0) + m.sign
+    return altgen.SmallnessCertificate(c1=c1, verdict=True, ranks=ranks, delta=L(delta))
+
+
+@pytest.mark.parametrize("name", table.alternating_names())
+def test_certificate_matches_reference_at_every_c1(name):
+    d = table.lookup(name)
+    for c1 in range(d.n):
+        assert altgen.certify_at(d, c1) == reference_certificate(d, c1)
+    mirror = d.mirror()
+    cert = altgen.certify_small(mirror)
+    assert cert == reference_certificate(mirror, cert.c1)
+
+
+@pytest.mark.parametrize("ps", [(3, 3, 3), (3, 5, 7), (5, 5, 5)], ids=str)
+def test_pretzel_certificate_matches_reference(ps):
+    d = pretzel_knot(list(ps))
+    cert = altgen.certify_small(d)
+    assert cert.verdict
+    assert cert == reference_certificate(d, cert.c1)
+    assert altgen.reduced_ranks(d, cert) == {e: abs(a) for e, a in alexander(d).coeffs().items()}
+
+
+@pytest.mark.parametrize("field", [1, 2])  # exponent, sign
+def test_wrong_merged_letter_raises(monkeypatch, figure8, field):
+    """An 'in' letter with a wrong exponent or sign breaks the spectrum."""
+    letters = altgen._letters
+
+    def tampered(*args):
+        rows, dropped = letters(*args)
+        for row in rows:
+            for k, opt in enumerate(row or ()):
+                if opt[0] == "in":
+                    opt = list(opt)
+                    opt[field + 1] = opt[field + 1] + 1 if field == 1 else -opt[field + 1]
+                    row[k] = tuple(opt)
+        return rows, dropped
+
+    monkeypatch.setattr(altgen, "_letters", tampered)
+    for c1 in range(figure8.n):
+        with pytest.raises(altgen.ConsistencyError):
+            altgen.certify_at(figure8, c1)
+
+
+def test_cycle_pool_checks(monkeypatch):
+    """Two one-cycle R that meet must cover disjoint bases, and every
+    component of an R with more cycles must be a one-cycle R alone."""
+    d = table.lookup("5_2")  # at c1 = 2 one base pools two components
+    crossings = altgen._component_crossings
+    with monkeypatch.context() as m:
+        # every pair of components now meets, at the crossing -1
+        m.setattr(altgen, "_component_crossings", lambda d, comp: crossings(d, comp) | {-1})
+        with pytest.raises(altgen.ConsistencyError, match="share a crossing"):
+            altgen.certify_at(d, 2)
+    comp = next(
+        m.marked_components[0]
+        for m in altgen.enumerate_mprs(d, 2)
+        if len(m.marked_components) > 1
+    )
+    marked = altgen._marked_components
+
+    def hidden(*args):
+        resolved, comps = marked(*args)
+        return resolved, (() if comps == (comp,) else comps)
+
+    monkeypatch.setattr(altgen, "_marked_components", hidden)
+    with pytest.raises(altgen.ConsistencyError, match="not a resolved sub-assignment alone"):
+        altgen.certify_at(d, 2)
+
+
+def test_certification_caps(monkeypatch):
+    d = table.lookup("7_4")
+
+    def forbidden(d):
+        raise AssertionError("the crossing cap is checked before any work")
+
+    with monkeypatch.context() as m:
+        m.setattr(altgen, "MAX_CERTIFY_CROSSINGS", 6)
+        m.setattr(altgen, "alexander", forbidden)
+        with pytest.raises(altgen.CertificationResourceError, match="MAX_CERTIFY_CROSSINGS"):
+            altgen.certify_small(d)
+    monkeypatch.setattr(altgen, "MAX_RESOLVED", 2)
+    with pytest.raises(altgen.CertificationResourceError, match="MAX_RESOLVED") as err:
+        altgen.certify_small(d)
+    assert isinstance(err.value, fox.SpectrumResourceError)
+    assert not isinstance(err.value, altgen.ConsistencyError)
+    with pytest.raises(altgen.CertificationResourceError):
+        surgery.input_from_alternating(d)

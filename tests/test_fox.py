@@ -10,6 +10,7 @@ from knotfloer.fox import (
     alexander,
     expand_letters,
     fox_derivative,
+    fox_matrix,
     free_reduce,
     generator_spectrum,
     wirtinger,
@@ -91,6 +92,19 @@ def test_two_generator_trefoil_spectrum():
     spec, delta = generator_spectrum(p)
     assert sorted(spec) == [(-1, 1), (0, -1), (1, 1)]
     assert delta.to_text() == "t^-1 - 1 + t"
+
+
+def test_fox_matrix_is_the_abelianized_free_derivative():
+    """fox_matrix sums prefix exponent sums; fox_derivative with abelianize
+    is the free-word reference."""
+    for name in table.names():
+        d = table.lookup(name)
+        for diagram in (d, d.mirror()):
+            p = wirtinger(diagram)
+            m = fox_matrix(p)
+            assert len(m) == len(p.relators)
+            for rel, row in zip(p.relators, m):
+                assert row == [abelianize(fox_derivative(rel, i)) for i in range(p.g - 1)]
 
 
 def test_alexander_multiplicative(trefoil, figure8):

@@ -8,7 +8,7 @@ from knotfloer import table
 from knotfloer.fox import alexander
 from knotfloer.laurent import LaurentPolynomial as L
 from knotfloer.diagrams import PDValidationError
-from knotfloer.linalg import det, interpolate, poly_det
+from knotfloer.linalg import det, interpolate, poly_det, signature
 from knotfloer.seifert import (
     BraidingError,
     _find_vogel_pair,
@@ -16,7 +16,10 @@ from knotfloer.seifert import (
     alexander_via_seifert,
     braid_form,
     seifert_circles,
+    seifert_matrix,
 )
+from knotfloer.signature import determinant
+from knotfloer.signature import signature as goeritz_signature
 
 
 def test_seifert_circles_trefoil(trefoil):
@@ -37,6 +40,19 @@ def test_two_oracles_agree(name):
     d = table.lookup(name)
     assert alexander_via_seifert(d) == alexander(d)
     assert alexander_via_seifert(d.mirror()) == alexander(d)
+
+
+def test_gordon_litherland_checks():
+    """Gordon-Litherland: sigma(V + V^T) = -sigma(Goeritz) and
+    |det(V + V^T)| = the Goeritz determinant, on every table diagram and
+    its mirror; neither check goes through the Fox route."""
+    for name in table.names():
+        d = table.lookup(name)
+        for diagram in (d, d.mirror()):
+            V = seifert_matrix(diagram)
+            sym = [[x + V[j][i] for j, x in enumerate(row)] for i, row in enumerate(V)]
+            assert signature(sym) == -goeritz_signature(diagram), name
+            assert abs(det(sym)) == determinant(diagram), name
 
 
 def test_oracle_on_connected_sum(trefoil, figure8):
