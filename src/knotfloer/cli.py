@@ -3,8 +3,11 @@
 Subcommands chain the pipeline: diagram -> Alexander/spectrum -> marked
 partial resolutions and smallness -> reduced complex -> surgery invariants,
 plus Maslov-index queries on cellulation fixtures.  Every subcommand has a
---json mode emitting exactly one JSON document on stdout.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+--json mode emitting exactly one JSON document on stdout, and accepts only
+the options it reads.  Exit codes: 0 success, 1 domain error (bad input),
+2 usage error, 3 program bug: a failed internal consistency check
+(ConsistencyError, SurgeryConsistencyError, BraidingError), reported with
+the check's message and, for diagram commands, the input PD.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ def _load_diagram(args):
     if args.knot and args.pd:
         raise CliError("give either --knot or --pd, not both")
     if args.knot:
-        return table.lookup(args.knot)
-    if args.pd:
+        args.diagram = table.lookup(args.knot)
+    elif args.pd:
         if args.pd == "-":
             text = sys.stdin.read()
         else:
             with open(args.pd) as f:
                 text = f.read()
-        return parse_pd(text)
-    raise CliError("a diagram is required: --knot <name> or --pd <file|->")
+        args.diagram = parse_pd(text)
+    else:
+        raise CliError("a diagram is required: --knot <name> or --pd <file|->")
+    return args.diagram
 
 
 def _emit(args, payload, plain):
@@ -218,36 +223,44 @@ def cmd_table(args):
     )
 
 
+_OPTIONS = {
+    "knot": {"help": "table lookup by name"},
+    "pd": {"help": "PD text from a file or - for stdin"},
+    "k": {"type": int, "help": "spin-c level"},
+    "m": {"type": int, "help": "surgery coefficient"},
+    "c1": {"type": int, "help": "distinguished crossing"},
+    "field": {"choices": ["Q", "F2"], "default": "F2"},
+    "trace": {"help": "directory for intermediate artifacts"},
+    "cellulation": {"help": "cellulation JSON"},
+    "domain": {"help": "domain JSON"},
+}
+
+# subcommand -> (function, the options it reads besides --json)
+_COMMANDS = {
+    "alexander": (cmd_alexander, ("knot", "pd", "trace")),
+    "signature": (cmd_signature, ("knot", "pd")),
+    "spectrum": (cmd_spectrum, ("knot", "pd", "trace")),
+    "mprs": (cmd_mprs, ("knot", "pd", "c1")),
+    "small": (cmd_small, ("knot", "pd")),
+    "cfr": (cmd_cfr, ("knot", "pd", "field", "trace")),
+    "surgery": (cmd_surgery, ("knot", "pd", "m", "k", "field")),
+    "hk": (cmd_hk, ("knot", "pd", "k", "field")),
+    "maslov": (cmd_maslov, ("cellulation", "domain")),
+    "table": (cmd_table, ()),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="knotfloer",
         description="Knot invariants from planar diagrams",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "alexander": cmd_alexander,
-        "signature": cmd_signature,
-        "spectrum": cmd_spectrum,
-        "mprs": cmd_mprs,
-        "small": cmd_small,
-        "cfr": cmd_cfr,
-        "surgery": cmd_surgery,
-        "hk": cmd_hk,
-        "maslov": cmd_maslov,
-        "table": cmd_table,
-    }
-    for name, fn in commands.items():
+    for name, (fn, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--knot", help="table lookup by name")
-        p.add_argument("--pd", help="PD text from a file or - for stdin")
-        p.add_argument("--k", type=int, default=None, help="spin-c level")
-        p.add_argument("--m", type=int, default=None, help="surgery coefficient")
-        p.add_argument("--c1", type=int, default=None, help="distinguished crossing")
-        p.add_argument("--field", choices=["Q", "F2"], default="F2")
+        for option in options:
+            p.add_argument("--" + option, **_OPTIONS[option])
         p.add_argument("--json", action="store_true")
-        p.add_argument("--trace", help="directory for intermediate artifacts")
-        p.add_argument("--cellulation", help="cellulation JSON (maslov)")
-        p.add_argument("--domain", help="domain JSON (maslov)")
         p.set_defaults(fn=fn)
     return ap
 
@@ -264,9 +277,19 @@ def main(argv=None):
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except Exception as e:  # domain errors from the library
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    except Exception as e:  # errors from the library
+        from .altgen import ConsistencyError
+        from .diagrams import serialize_pd
+        from .seifert import BraidingError
+        from .surgery import SurgeryConsistencyError
+
+        if not isinstance(e, (ConsistencyError, SurgeryConsistencyError, BraidingError)):
+            print("error: %s" % e, file=sys.stderr)
+            return 1
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        if getattr(args, "diagram", None) is not None:
+            print("PD: %s" % serialize_pd(args.diagram), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

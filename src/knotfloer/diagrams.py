@@ -135,9 +135,6 @@ class KnotDiagram:
     def signs(self):
         return tuple(self.sign(i) for i in range(self.n))
 
-    def writhe(self):
-        return sum(self.signs())
-
     @cached_property
     def _arrivals(self):
         out = {}

@@ -233,13 +233,6 @@ class FilteredComplex:
                         d[(src, "%s|%s" % (g.id, b))] = c * sign
         return FilteredComplex(gens, d, self.field)
 
-    def shift(self, dA, dgr, suffix=""):
-        gens = [Generator(g.id + suffix, g.A + dA, g.gr + dgr) for g in self.generators]
-        d = {
-            (s + suffix, t + suffix): c for (s, t), c in self.differential.items()
-        }
-        return FilteredComplex(gens, d, self.field, check=False)
-
     def subquotient(self, keep_ids):
         """Complex on a subset of generators with the induced differential."""
         keep = set(map(str, keep_ids))
@@ -293,19 +286,3 @@ class FilteredComplex:
             len(self.differential),
             self.field.name,
         )
-
-
-def homology_per_bigrading(c):
-    """Generator counts of the reduced complex per (A, gr)."""
-    r = c.reduce()
-    out = {}
-    for g in r.generators:
-        out[(g.A, g.gr)] = out.get((g.A, g.gr), 0) + 1
-    return out
-
-
-def subquotient_homology(c, level):
-    """Homology ranks of the A-graded piece at the given level."""
-    ids = [g.id for g in c.generators if g.A == level]
-    sub = c.subquotient(ids)
-    return sub.homology_ranks()

@@ -5,19 +5,23 @@ diagram by Vogel moves (type-II moves across incoherent face pairs), read a
 Seifert matrix off the braided diagram's nested Seifert circles, and return
 the normalized det(V - t V^T) from linalg.poly_det, which pivots away the
 unit entries of the pencil (most of them, since Vogel's moves add many
-+-1 bands) before it interpolates the small core left.  Nothing here
-touches the Fox-calculus path.
++-1 bands) before it interpolates the small core left.  Each Vogel move
+is arithmetic on the PD labels and validates one new diagram.  Nothing
+here touches the Fox-calculus path or the table's diagram builders.
 """
 
 from __future__ import annotations
 
-from .diagrams import PDValidationError, _is_arrival_slot
+from .diagrams import KnotDiagram, PDValidationError
 from .laurent import LaurentPolynomial
 from .linalg import poly_det
 
 
 class BraidingError(RuntimeError):
     pass
+
+
+MAX_VOGEL_MOVES = 1000
 
 
 # -- Seifert circles -----------------------------------------------------------
@@ -84,39 +88,39 @@ def _find_vogel_pair(d):
 def _r2_push(d, e, ep, mirrored):
     """Push edge e over edge ep (anti-parallel chords of a shared face).
 
-    The poke can enter from either side of ep; mirrored picks the side.
-    Only one side keeps the diagram planar, and the builder validates it.
+    Each of e and ep becomes three consecutive segments, so every later
+    label moves up by 2 per split edge, and the arrival end of each split
+    edge (slot 0 or the over-in slot) takes its last segment.  The poke can
+    enter from either side of ep; mirrored picks the side.  Only one side
+    keeps the diagram planar, and validation rejects the other.
     """
-    from ._constructions import _Builder
 
-    b = _Builder()
-    for k in range(1, d.n_edges + 1):
-        b._parent[k] = k
-    b._next = d.n_edges + 1
-    e_t, e_b = b.seg(), b.seg()
-    ep_m, ep_b = b.seg(), b.seg()
+    def first(k):  # label of the first segment of old edge k
+        return k + 2 * ((e < k) + (ep < k))
+
+    e1, ep1 = first(e), first(ep)
+    last = {e: e1 + 2, ep: ep1 + 2}
+    tuples = []
     for i, x in enumerate(d.crossings):
-        ends = list(x.ends())
-        for s in range(4):
-            val = ends[s]
-            if val == e:
-                ends[s] = e_b if _is_arrival_slot(d, i, s) else e
-            elif val == ep:
-                ends[s] = ep_b if _is_arrival_slot(d, i, s) else ep
-        b.add_crossing(ends, 0)
-    # two new crossings; tuples start at the under-in end and run ccw
+        ends = x.ends()
+        new = [first(k) for k in ends]
+        for s in (0, 1 if d.over_in_out(i)[0] == x.b else 3):
+            if ends[s] in last:
+                new[s] = last[ends[s]]
+        tuples.append(new)
+    # the two new crossings, each from its under-in end ccw: P, where e's
+    # segments 1 -> 2 pass over ep's 2 -> 3, and Q, where e's 2 -> 3 pass
+    # over ep's 1 -> 2
     if not mirrored:
-        # P: e(W) -> e_t(E) over; ep_m(N) -> ep_b(S) under
-        b.add_crossing((ep_m, e, ep_b, e_t), 0)
-        # Q: e_t(E) -> e_b(W) over; ep(N) -> ep_m(S) under
-        b.add_crossing((ep, e_b, ep_m, e_t), 0)
+        tuples += [(ep1 + 1, e1, ep1 + 2, e1 + 1), (ep1, e1 + 2, ep1 + 1, e1 + 1)]
     else:
-        b.add_crossing((ep_m, e_t, ep_b, e), 0)
-        b.add_crossing((ep, e_t, ep_m, e_b), 0)
-    return b.finish(d.name)
+        tuples += [(ep1 + 1, e1 + 1, ep1 + 2, e1), (ep1, e1 + 1, ep1 + 1, e1 + 2)]
+    # rotate so that crossing 0's incoming under-edge is 1
+    m, start = d.n_edges + 4, tuples[0][0]
+    return KnotDiagram.from_tuples([[(k - start) % m + 1 for k in t] for t in tuples], d.name)
 
 
-def braid_form(d, max_moves=1000):
+def braid_form(d):
     """Apply Vogel moves until the Seifert circles are coherently nested.
 
     A pair that runs with the face walk is pushed from the unmirrored side,
@@ -124,7 +128,7 @@ def braid_form(d, max_moves=1000):
     planar one, so each move builds one diagram.
     """
     cur = d
-    for _ in range(max_moves):
+    for _ in range(MAX_VOGEL_MOVES):
         pair = _find_vogel_pair(cur)
         if pair is None:
             return cur
@@ -136,7 +140,7 @@ def braid_form(d, max_moves=1000):
                 "Vogel move of edge %d over edge %d fails on PD %s: %s"
                 % (e, ep, [x.ends() for x in cur.crossings], exc)
             ) from exc
-    raise BraidingError("braiding did not terminate within %d moves" % max_moves)
+    raise BraidingError("braiding did not terminate within %d moves" % MAX_VOGEL_MOVES)
 
 
 # -- Seifert matrix from a braided diagram ---------------------------------------

@@ -199,7 +199,7 @@ class KnotFloerInput:
     cfr: FilteredComplex
     s: int
     delta: LaurentPolynomial
-    umodel: UModel = None
+    umodel: UModel
 
     def __post_init__(self):
         if self.cfr.total_homology_rank() != 1:
@@ -226,18 +226,7 @@ class KnotFloerInput:
         return max(g.A for g in self.cfr.generators)
 
     def model(self):
-        if self.umodel is not None:
-            return self.umodel
-        if not all(g.A == g.gr for g in self.cfr.generators):
-            raise SurgeryInputError(
-                "surgery computations need a perfect complex or an explicit u-model"
-            )
-        ranks = {}
-        for g in self.cfr.generators:
-            ranks[g.A] = ranks.get(g.A, 0) + 1
-        m = thin_model(ranks, self.s, self.cfr.field)
-        object.__setattr__(self, "umodel", m)
-        return m
+        return self.umodel
 
 
 def perfect_input(ranks, s, delta, field="F2"):

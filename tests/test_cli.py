@@ -2,7 +2,14 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import fixture_path
+
+from knotfloer import cli, table
+from knotfloer.altgen import ConsistencyError
+from knotfloer.diagrams import serialize_pd
+from knotfloer.seifert import BraidingError
+from knotfloer.surgery import SurgeryConsistencyError
 
 
 def run(*argv, stdin=None):
@@ -69,9 +76,47 @@ def test_usage_error_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alexander", "--knot", "3_1", "--m", "5"],
+        ["signature", "--knot", "3_1", "--trace", "out"],
+        ["mprs", "--knot", "3_1", "--field", "Q"],
+        ["maslov", "--knot", "3_1"],
+        ["table", "--k", "0"],
+    ],
+)
+def test_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_domain_error_exit_1():
     r = run("alexander", "--knot", "nope_1")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, target, error",
+    [
+        (["small", "--knot", "4_1"], "knotfloer.altgen.certify_small", ConsistencyError),
+        (["hk", "--knot", "3_1"], "knotfloer.surgery.h_invariant", SurgeryConsistencyError),
+        (["alexander", "--knot", "5_2"], "knotfloer.fox.alexander", BraidingError),
+        (["table"], "knotfloer.table.names", ConsistencyError),
+    ],
+)
+def test_program_bug_exit_3(monkeypatch, capsys, argv, target, error):
+    def failing(*args, **kwargs):
+        raise error("the checked invariant fails")
+
+    monkeypatch.setattr(target, failing)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "%s: the checked invariant fails" % error.__name__ in err
+    if "--knot" in argv:
+        assert "PD: %s" % serialize_pd(table.lookup(argv[2])) in err
+    else:
+        assert "PD:" not in err
 
 
 def test_trace(tmp_path):

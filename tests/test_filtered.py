@@ -4,12 +4,7 @@ import pytest
 
 from conftest import random_filtered_complex
 
-from knotfloer.filtered import (
-    FilteredComplex,
-    FilteredComplexError,
-    homology_per_bigrading,
-    subquotient_homology,
-)
+from knotfloer.filtered import FilteredComplex, FilteredComplexError
 
 
 def test_basic_invariants_checked():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -5,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotfloer import table
+from knotfloer._constructions import _Builder
 from knotfloer.fox import alexander
 from knotfloer.laurent import LaurentPolynomial as L
-from knotfloer.diagrams import PDValidationError
+from knotfloer.diagrams import PDValidationError, _is_arrival_slot
 from knotfloer.linalg import det, interpolate, poly_det, signature
 from knotfloer.seifert import (
+    MAX_VOGEL_MOVES,
     BraidingError,
     _find_vogel_pair,
     _r2_push,
@@ -147,3 +152,69 @@ def test_vogel_move_on_the_wrong_side_is_a_braiding_error(monkeypatch, name):
     monkeypatch.setattr(seifert, "_find_vogel_pair", flipped)
     with pytest.raises(BraidingError, match="Vogel move of edge"):
         braid_form(table.lookup(name))
+
+
+def _r2_push_by_builder(d, e, ep, mirrored):
+    """The Vogel move as segments of a _Builder, which traverses the knot
+    again to label them: the reference for seifert._r2_push's arithmetic."""
+    b = _Builder()
+    for k in range(1, d.n_edges + 1):
+        b._parent[k] = k
+    b._next = d.n_edges + 1
+    e_t, e_b = b.seg(), b.seg()
+    ep_m, ep_b = b.seg(), b.seg()
+    for i, x in enumerate(d.crossings):
+        ends = list(x.ends())
+        for s in range(4):
+            val = ends[s]
+            if val == e:
+                ends[s] = e_b if _is_arrival_slot(d, i, s) else e
+            elif val == ep:
+                ends[s] = ep_b if _is_arrival_slot(d, i, s) else ep
+        b.add_crossing(ends, 0)
+    if not mirrored:
+        b.add_crossing((ep_m, e, ep_b, e_t), 0)
+        b.add_crossing((ep, e_b, ep_m, e_t), 0)
+    else:
+        b.add_crossing((ep_m, e_t, ep_b, e), 0)
+        b.add_crossing((ep, e_t, ep_m, e_b), 0)
+    return b.finish(d.name)
+
+
+def braid_form_by_builder(d):
+    cur = d
+    for _ in range(MAX_VOGEL_MOVES):
+        pair = _find_vogel_pair(cur)
+        if pair is None:
+            return cur
+        e, ep, with_walk = pair
+        cur = _r2_push_by_builder(cur, e, ep, not with_walk)
+    raise AssertionError("reference braiding did not terminate")
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_braid_form_matches_the_builder_reference(mirror):
+    for name in table.names():
+        d = table.lookup(name)
+        if mirror:
+            d = d.mirror()
+        assert braid_form(d).crossings == braid_form_by_builder(d).crossings, name
+
+
+def test_seifert_route_imports_neither_fox_nor_the_builders():
+    script = (
+        "import sys\n"
+        "from knotfloer import table\n"
+        "from knotfloer.seifert import alexander_via_seifert\n"
+        "for name in table.names():\n"
+        "    alexander_via_seifert(table.lookup(name))\n"
+        "print(sorted(m for m in ('knotfloer._constructions', 'knotfloer.fox') if m in sys.modules))\n"
+    )
+    import knotfloer
+
+    # the package this suite imports, first on the child's path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knotfloer.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
